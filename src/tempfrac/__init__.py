@@ -32,7 +32,15 @@ from .operators import (
     assemble_P,
 )
 from .oracle import OracleConvergenceError, quadrature_oracle, tempered_derivative, tempered_integral
-from .solver1d import BlowupError, ProblemSpec1D, Solution1D, solve_left, solve_right, solve_two_sided
+from .solver1d import (
+    BlowupError,
+    ProblemSpec1D,
+    SeparableSource,
+    Solution1D,
+    solve_left,
+    solve_right,
+    solve_two_sided,
+)
 from .solver2d import ProblemSpec2D, Solution2D, solve_adi
 from .spectral import (
     DefinitenessReport,

@@ -19,8 +19,6 @@ from .operators import Grid1D
 from .spectral import RegimeError, check_B_bounds, check_P_definiteness, hplus_split, stability_predicate
 from .verification import make_case, run_convergence_study
 
-_COUPLINGS = {"h3": "h3", "h32": "h32", "fixed": "fixed"}
-
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -45,7 +43,7 @@ def _build_parser():
     c.add_argument("--j", type=int, default=5, help="monomial exponent (1D one-sided cases)")
     c.add_argument("--h", type=float, default=0.1, help="coarsest resolution")
     c.add_argument("--levels", type=int, default=4, help="number of halvings of h")
-    c.add_argument("--coupling", choices=tuple(_COUPLINGS), default=None,
+    c.add_argument("--coupling", choices=("h3", "h32", "fixed"), default=None,
                    help="step-size coupling (default: h32 for ex5_3, else h3)")
     c.add_argument("--tau", type=float, default=None, help="step size for fixed coupling")
     c.add_argument("--out", default=None, help="CSV output path")

@@ -11,12 +11,15 @@ alpha and beta with rates lam_1 and lam_2.  The factored two-sweep step is
 with P assembled without the tau factor and S the compact-filtered source,
 including its boundary-ring samples (the full stencil reaches one node past
 each edge; without those samples the scheme loses its spatial order).  Both
-directional factorizations are computed once per run.
+directional factorizations are computed once per run, and the forcing is
+compiled once: for a :class:`~tempfrac.solver1d.SeparableSource` each step
+only scales the precomputed tau * S by the temporal factor.  The steps run
+one at a time through the marcher of :mod:`tempfrac.solver1d`.
 """
 
 from __future__ import annotations
 
-import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,8 +27,8 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .calculus import TemperedParams
-from .operators import Grid1D, TimeGrid, assemble_B, assemble_P
-from .solver1d import _check_finite
+from .operators import Grid1D, TimeGrid, apply_compact, assemble_B, assemble_P
+from .solver1d import _march, _source_term
 
 __all__ = ["ProblemSpec2D", "Solution2D", "solve_adi"]
 
@@ -35,7 +38,9 @@ class ProblemSpec2D:
     """Rectangle problem with homogeneous Dirichlet boundary.
 
     ``initial`` maps meshgrid arrays (X, Y) to u(x, y, 0); ``source`` maps
-    (X, Y, t) to f.  Directional operator parameters live in ``params_x`` and
+    (X, Y, t) to f, either as a :class:`~tempfrac.solver1d.SeparableSource`,
+    whose profile is evaluated once per run, or as a plain callable evaluated
+    once per step.  Directional operator parameters live in ``params_x`` and
     ``params_y`` (diffusivities fold into the assembled matrices).
     """
 
@@ -58,39 +63,26 @@ class Solution2D:
     values: np.ndarray
 
 
-def _full_compact_stencil(grid, lam):
-    """(M-1) x (M+1) matrix applying the left compact filter to full nodal data."""
-    h = grid.h
-    elh = math.exp(lam * h)
-    T = np.zeros((grid.M - 1, grid.M + 1))
-    for i in range(grid.M - 1):
-        T[i, i] = 1.0 / elh / 6.0
-        T[i, i + 1] = 2.0 / 3.0
-        T[i, i + 2] = elh / 6.0
-    return T
-
-
 def _adi_march(spec, Bx, Px, By, Py):
-    """Core sweep loop; matrices are injectable so tests can zero a direction."""
-    gx, gy, time = spec.grid_x, spec.grid_y, spec.time
-    tau = time.tau
+    """Compile the sweeps and march; matrices are injectable so tests can zero a direction."""
+    gx, gy, tau = spec.grid_x, spec.grid_y, spec.time.tau
     lu_x = lu_factor(Bx - 0.5 * tau * Px)
     lu_y = lu_factor(By - 0.5 * tau * Py)
     Ax = Bx + 0.5 * tau * Px
     AyT = (By + 0.5 * tau * Py).T
-    Tx = _full_compact_stencil(gx, spec.params_x.lam)
-    TyT = _full_compact_stencil(gy, spec.params_y.lam).T
+
+    def step(U, forcing):
+        U_star = lu_solve(lu_x, Ax @ U @ AyT + forcing[0], check_finite=False)
+        return lu_solve(lu_y, U_star.T, check_finite=False).T
+
+    def compact(F):
+        # tau * Tx F Ty^T: the compact filter along x, then along y
+        S = apply_compact("left", spec.params_x.lam, gx.h, F)
+        return (tau * apply_compact("left", spec.params_y.lam, gy.h, S.T).T,)
 
     X, Y = np.meshgrid(gx.nodes(), gy.nodes(), indexing="ij")
-    U = np.asarray(spec.initial(X, Y), dtype=float)[1:-1, 1:-1]
-    for n in range(time.N):
-        t_mid = (n + 0.5) * tau
-        F = np.asarray(spec.source(X, Y, t_mid), dtype=float)
-        S = Tx @ F @ TyT
-        rhs = Ax @ U @ AyT + tau * S
-        U_star = lu_solve(lu_x, rhs, check_finite=False)
-        U = lu_solve(lu_y, U_star.T, check_finite=False).T
-        _check_finite(U, n + 1)
+    U0 = np.asarray(spec.initial(X, Y), dtype=float)[1:-1, 1:-1]
+    U, _ = _march(step, U0, spec.time, (_source_term(spec.source, (X, Y), 0.5, compact),))
     return U
 
 
@@ -107,8 +99,6 @@ def solve_adi(spec):
         np.max(np.abs(U0[:, 0])), np.max(np.abs(U0[:, -1])),
     )
     if ring > 1e-10:
-        import warnings
-
         warnings.warn(
             "initial surface does not vanish on the boundary ring",
             RuntimeWarning,

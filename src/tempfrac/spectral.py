@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import w3_closed_form
-from .operators import assemble_B, assemble_P
+from .operators import Grid1D, assemble_B, assemble_P
 
 __all__ = [
     "DefinitenessReport",
@@ -100,8 +100,6 @@ def check_B_bounds(lam, h, M):
     through the extreme eigenvalues, which escape the bounds beyond the
     lam*h <= 1 threshold.
     """
-    from .operators import Grid1D
-
     grid = Grid1D(0.0, M * h, M)
     B = assemble_B("left", grid, lam).to_dense()
     eigs = _sym_eigvals(B)

@@ -14,8 +14,9 @@ Four manufactured cases drive the verification harness, one per scheme:
 
 Each case carries its exact solution, the matching source, and a builder
 mapping a spatial resolution to a ready problem spec.  The sources are
-time-separable (a pure e^{-t} factor), so their space profiles are memoized
-per grid; a convergence study then costs one profile evaluation per level.
+time-separable, a :class:`~tempfrac.solver1d.SeparableSource` with the factor
+e^{-t}: each solve evaluates the space profile once, and the 1D solvers march
+long runs in blocks of steps.
 
 Errors use the discrete L2 norm sqrt(h * sum of squared nodal errors) at the
 final time (h_x * h_y weighting in 2D); non-finite solutions and blowups are
@@ -33,7 +34,15 @@ import numpy as np
 
 from .calculus import TemperedParams
 from .operators import Grid1D, TimeGrid
-from .solver1d import BlowupError, ProblemSpec1D, Solution1D, solve_left, solve_right, solve_two_sided
+from .solver1d import (
+    BlowupError,
+    ProblemSpec1D,
+    SeparableSource,
+    Solution1D,
+    solve_left,
+    solve_right,
+    solve_two_sided,
+)
 from .solver2d import ProblemSpec2D, Solution2D, solve_adi
 
 __all__ = [
@@ -52,36 +61,9 @@ __all__ = [
 _BINOM4 = (1.0, -4.0, 6.0, -4.0, 1.0)  # (-1)^m * C(4, m)
 
 
-def _memoized_profile(profile):
-    """Wrap a vectorized space profile with a per-grid cache keyed by bytes."""
-    memo = {}
-
-    def cached(*arrays):
-        key = tuple(a.tobytes() for a in arrays)
-        if key not in memo:
-            memo[key] = profile(*arrays)
-        return memo[key]
-
-    return cached
-
-
-def _separable_source_1d(profile):
-    cached = _memoized_profile(profile)
-
-    def source(x, t):
-        x = np.asarray(x, dtype=float)
-        return math.exp(-t) * cached(x)
-
-    return source
-
-
-def _separable_source_2d(profile):
-    cached = _memoized_profile(profile)
-
-    def source(X, Y, t):
-        return math.exp(-t) * cached(np.asarray(X, float), np.asarray(Y, float))
-
-    return source
+def _decay(t):
+    """The temporal factor e^{-t} shared by every manufactured source."""
+    return math.exp(-t)
 
 
 @dataclass(frozen=True)
@@ -92,7 +74,7 @@ class ManufacturedCase:
     params: dict
     exact: Callable
     source: Callable
-    build_spec: Callable  # h -> ProblemSpec1D | ProblemSpec2D
+    build_spec: Callable  # h -> (N -> ProblemSpec1D | ProblemSpec2D)
     solve: Callable  # spec -> Solution1D | Solution2D
     horizon: float
     dim: int = 1
@@ -128,7 +110,7 @@ def case_ex5_1(alpha, lam, j=5, T=0.1):
     def profile(x):
         return -np.exp(-lam * x) * _power_bracket(x, j, alpha, lam)
 
-    source = _separable_source_1d(profile)
+    source = SeparableSource(profile, _decay)
 
     def build_spec(h):
         M = round(1.0 / h)
@@ -173,7 +155,7 @@ def case_ex5_2(alpha, lam, j=5, T=0.1):
             - lam**alpha * (1.0 - x) ** j
         )
 
-    source = _separable_source_1d(profile)
+    source = SeparableSource(profile, _decay)
 
     def build_spec(h):
         M = round(1.0 / h)
@@ -234,7 +216,7 @@ def case_ex5_3(alpha, beta, lam1, lam2, T=1.0):
             xpart * Y**4 * (1.0 - Y) + ypart * X**4 * (1.0 - X)
         )
 
-    source = _separable_source_2d(profile)
+    source = SeparableSource(profile, _decay)
 
     def build_spec(h):
         M = round(1.0 / h)
@@ -304,7 +286,7 @@ def case_ex5_4(alpha, lam, T=1.0, n_terms=50):
     def profile(x):
         return build_example_5_4_source(alpha, lam, x, 0.0, n_terms=n_terms)
 
-    source = _separable_source_1d(profile)
+    source = SeparableSource(profile, _decay)
 
     def build_spec(h):
         M = round(1.0 / h)

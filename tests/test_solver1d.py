@@ -1,16 +1,23 @@
-"""One-dimensional steppers: fixed points, mirrors, blowups, energy, orders."""
+"""One-dimensional steppers: fixed points, mirrors, blowups, energy, orders,
+and the block marcher against the stepwise path."""
 
+import contextlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tempfrac import solver1d
 from tempfrac.calculus import TemperedParams
 from tempfrac.operators import Grid1D, TimeGrid, assemble_B
 from tempfrac.solver1d import (
     BlowupError,
     ProblemSpec1D,
+    SeparableSource,
     solve_left,
     solve_right,
     solve_two_sided,
@@ -131,7 +138,7 @@ class TestBlowupDiagnostics:
             warnings.simplefilter("ignore")
             with pytest.raises(BlowupError) as err:
                 solve_left(spec)
-        assert err.value.step > 0
+        assert err.value.step == 69
 
     def test_study_records_infinite_error(self):
         case = case_ex5_1(1.9, 50.0, j=5)
@@ -209,3 +216,116 @@ class TestTemporalOrder:
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         for order in orders:
             assert 0.8 <= order <= 1.2
+
+
+@contextlib.contextmanager
+def block_steps(K):
+    """March in blocks of K steps (1: stepwise) whatever the size of the run."""
+    with mock.patch.object(solver1d, "_block_steps", lambda m, N: K):
+        yield
+
+
+SOLVERS = {"left": solve_left, "right": solve_right, "two_sided": solve_two_sided}
+
+
+def manufactured_spec(side, alpha, M, N):
+    # left and right carry a nonzero far trace, e^{-t - lam} and e^{-t}
+    case = {
+        "left": lambda: case_ex5_1(alpha, 1.0, j=5),
+        "right": lambda: case_ex5_2(alpha, 1.0, j=5),
+        "two_sided": lambda: case_ex5_4(alpha, 0.1),
+    }[side]()
+    return case.build_spec(1.0 / M)(N)
+
+
+class TestBlockMarching:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        side=st.sampled_from(sorted(SOLVERS)),
+        alpha=st.floats(1.05, 1.95),
+        M=st.integers(5, 24),
+        N=st.integers(1, 300),
+        K=st.integers(2, 80),
+    )
+    def test_blocks_equal_single_steps(self, side, alpha, M, N, K):
+        # covers N < K and N not a multiple of K
+        spec = manufactured_spec(side, alpha, M, N)
+        with block_steps(1):
+            ref = SOLVERS[side](spec).values
+        with block_steps(K):
+            got = SOLVERS[side](spec).values
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        side=st.sampled_from(sorted(SOLVERS)),
+        K=st.sampled_from([1, 7, 64]),
+        a=st.floats(-2.0, 2.0),
+        b=st.floats(-2.0, 2.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_solution_is_linear_in_initial_and_source(self, side, K, a, b, seed):
+        rng = np.random.default_rng(seed)
+        (u1, u2), (p1, p2) = rng.standard_normal((2, 2, 4))
+
+        def spec(u, p):
+            return ProblemSpec1D(
+                grid=Grid1D(0.0, 1.0, 12), time=TimeGrid(0.1, 150),
+                params=TemperedParams(1.6, 2.0), side=side,
+                initial=lambda x: x * (1.0 - x) * np.polyval(u, x),
+                boundary_left=ZERO, boundary_right=ZERO,
+                source=SeparableSource(lambda x: np.polyval(p, x), math.cos),
+            )
+
+        with block_steps(K):
+            s1 = SOLVERS[side](spec(u1, p1)).values
+            s2 = SOLVERS[side](spec(u2, p2)).values
+            combined = SOLVERS[side](spec(a * u1 + b * u2, a * p1 + b * p2)).values
+        scale = abs(a) * np.max(np.abs(s1)) + abs(b) * np.max(np.abs(s2))
+        assert np.max(np.abs(combined - (a * s1 + b * s2))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("side", sorted(SOLVERS))
+    @pytest.mark.parametrize("K", [3, 64])
+    def test_zero_data_stays_exactly_zero(self, side, K):
+        spec = ProblemSpec1D(**{
+            **zero_spec(side, N=100).__dict__,
+            "source": SeparableSource(np.zeros_like, math.exp),
+        })
+        with block_steps(K):
+            sol = SOLVERS[side](spec)
+        assert np.array_equal(sol.values, np.zeros(11))
+
+    @settings(max_examples=30, deadline=None)
+    @given(alpha=st.floats(1.5, 1.95), lam_h=st.floats(3.0, 6.0), K=st.integers(2, 80))
+    def test_blowup_step_is_the_same_for_blocks(self, alpha, lam_h, K):
+        spec = case_ex5_1(alpha, lam_h / 0.1, j=5).build_spec(0.1)(100)
+
+        def blowup_step(K):
+            with block_steps(K), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    solve_left(spec)
+                except BlowupError as err:
+                    return err.step
+            return None
+
+        assert blowup_step(K) == blowup_step(1)
+
+    def test_block_path_only_where_dense_G_pays(self):
+        # long runs on study grids march in blocks; wide grids with few
+        # steps stay on the LU path and never form a dense G
+        assert solver1d._block_steps(39, 6400) > 1
+        assert solver1d._block_steps(79, 512000) > 1
+        assert solver1d._block_steps(1599, 16) == 1
+        assert solver1d._block_steps(3199, 16) == 1
+
+    def test_history_and_plain_sources_stay_stepwise(self):
+        case = case_ex5_1(1.5, 1.0, j=5)
+        spec = case.build_spec(0.1)(200)
+        plain = ProblemSpec1D(**{**spec.__dict__, "source": lambda x, t: spec.source(x, t)})
+        with mock.patch.object(solver1d, "_march_blocks", side_effect=AssertionError):
+            solve_left(spec, store_history=True)
+            solve_left(plain)
+        with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
+            solve_left(spec)
+        assert blocks.call_count == 1

@@ -5,8 +5,8 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from tempfrac.calculus import TemperedParams
-from tempfrac.operators import Grid1D, TimeGrid, assemble_B, assemble_P
-from tempfrac.solver2d import ProblemSpec2D, _adi_march, _full_compact_stencil, solve_adi
+from tempfrac.operators import Grid1D, TimeGrid, apply_compact, assemble_B, assemble_P
+from tempfrac.solver2d import ProblemSpec2D, _adi_march, solve_adi
 from tempfrac.verification import case_ex5_3, run_convergence_study
 
 
@@ -72,12 +72,13 @@ class TestSweepPlumbing:
         tau = spec.time.tau
         X, Y = np.meshgrid(spec.grid_x.nodes(), spec.grid_y.nodes(), indexing="ij")
         V = np.asarray(spec.initial(X, Y), dtype=float)[1:-1, 1:-1]
-        Tx = _full_compact_stencil(spec.grid_x, spec.params_x.lam)
-        TyT = _full_compact_stencil(spec.grid_y, spec.params_y.lam).T
         lu = lu_factor(Bx - 0.5 * tau * Px)
         By_inv = np.linalg.inv(By)
         for n in range(spec.time.N):
             F = np.asarray(spec.source(X, Y, (n + 0.5) * tau), dtype=float)
-            S = (Tx @ F @ TyT) @ By_inv.T
+            # compact filter along x (rows), then along y (columns)
+            Fx = apply_compact("left", spec.params_x.lam, spec.grid_x.h, F)
+            Fxy = apply_compact("left", spec.params_y.lam, spec.grid_y.h, Fx.T).T
+            S = Fxy @ By_inv.T
             V = lu_solve(lu, (Bx + 0.5 * tau * Px) @ V + tau * S)
         assert U == pytest.approx(V, rel=1e-10, abs=1e-12)
