@@ -100,7 +100,19 @@ def _cmd_converge(args):
     if args.levels < 2:
         print("error: need at least two levels", file=sys.stderr)
         return 2
+    if not args.h > 0.0:
+        print(f"error: h must be > 0, got {args.h}", file=sys.stderr)
+        return 2
+    if round(1.0 / args.h) < 4:
+        print(f"error: h = {args.h} gives fewer than 4 cells on [0, 1]", file=sys.stderr)
+        return 2
     coupling = args.coupling or ("h32" if args.case == "ex5_3" else "h3")
+    if coupling == "fixed" and args.tau is None:
+        print("error: fixed coupling requires --tau", file=sys.stderr)
+        return 2
+    if args.tau is not None and not args.tau > 0.0:
+        print(f"error: tau must be > 0, got {args.tau}", file=sys.stderr)
+        return 2
     h_levels = [args.h / 2**k for k in range(args.levels)]
     report = run_convergence_study(case, h_levels, coupling=coupling, fixed_tau=args.tau)
 
@@ -132,20 +144,22 @@ def _cmd_converge(args):
 
 
 def _cmd_stability(args):
+    if not args.h > 0.0:
+        print(f"error: h must be > 0, got {args.h}", file=sys.stderr)
+        return 2
     M = args.M if args.M is not None else round(1.0 / args.h)
     try:
         params = TemperedParams(args.alpha, args.lam)
         grid = Grid1D(0.0, M * args.h, M)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = check_P_definiteness(params, grid, tau=1.0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     ok = stability_predicate(args.lam, args.h)
     print(f"alpha={args.alpha} lambda={args.lam} h={args.h} M={M} lambda*h={args.lam * args.h:.6g}")
     print(f"stability predicate (lambda*h <= 1): {'STABLE' if ok else 'UNSTABLE'}")
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = check_P_definiteness(params, grid, tau=1.0)
     print(
         f"sym(P) eigenvalues in [{rep.eig_min:.6e}, {rep.eig_max:.6e}] -> {rep.verdict}"
     )

@@ -8,17 +8,21 @@ with three ingredients assembled here:
 
 * ``B``: the tridiagonal compact filter with bands (e^{-lam h}/6, 2/3,
   e^{lam h}/6) for the left-sided operator; the right-sided variant is its
-  transpose.
+  transpose.  It stays banded: :class:`CompactMatrixB` applies and solves in
+  O(M) operations, column by column on matrices.
 * ``P``: K * tau * (A - alpha * lam**(alpha-1) * C + lam**alpha * (alpha-1) * B)
   where A is the lower-Hessenberg Toeplitz matrix of the tempered weights
   scaled by 1/h**alpha and C is the skewed advection correction with bands
-  (-e^{-lam h}, 0, e^{lam h}) / (2h).
+  (-e^{-lam h}, 0, e^{lam h}) / (2h).  Every term is Toeplitz, so
+  :func:`P_column_row` computes P's first column and first row in O(M), and
+  :func:`assemble_P` expands them into the dense matrix (the right-sided P is
+  the transpose).  The solvers build each stage matrix, such as B - P, from
+  the same column and row.
 * ``H``: the per-step vector collecting every stencil contribution that falls
   on the boundary nodes x_0 and x_M (trace values at both time levels plus
   boundary samples of the source).
 
-Matrices are dense; target sizes are a few hundred unknowns where clarity
-beats Toeplitz tricks.  Assembly is pure and the results are safe to share.
+Assembly is pure and the results are safe to share.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
+from scipy.linalg.lapack import dgtsv
 
 from .calculus import _check_side, tempered_weights
 
@@ -36,6 +42,7 @@ __all__ = [
     "TimeGrid",
     "CompactMatrixB",
     "assemble_B",
+    "P_column_row",
     "assemble_P",
     "assemble_H",
     "apply_compact",
@@ -88,25 +95,41 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class CompactMatrixB:
-    """Tridiagonal compact filter stored as its three constant bands."""
+    """Tridiagonal compact filter stored as its three constant bands.
+
+    ``matvec`` and ``solve`` take a vector of length ``dim`` or a matrix with
+    ``dim`` rows, which they treat column by column.
+    """
 
     dim: int
     sub: float
     diag: float
     sup: float
 
+    def column_row(self):
+        """First column and first row of the matrix."""
+        col, row = np.zeros(self.dim), np.zeros(self.dim)
+        col[0] = row[0] = self.diag
+        col[1], row[1] = self.sub, self.sup
+        return col, row
+
     def to_dense(self):
-        out = np.zeros((self.dim, self.dim))
-        np.fill_diagonal(out, self.diag)
-        np.fill_diagonal(out[1:], self.sub)
-        np.fill_diagonal(out[:, 1:], self.sup)
-        return out
+        return toeplitz(*self.column_row())
 
     def matvec(self, v):
         out = self.diag * v
         out[:-1] += self.sup * v[1:]
         out[1:] += self.sub * v[:-1]
         return out
+
+    def solve(self, v):
+        """B^{-1} v by a tridiagonal LU with partial pivoting."""
+        n = self.dim - 1
+        *_, x, info = dgtsv(np.full(n, self.sub), np.full(self.dim, self.diag),
+                            np.full(n, self.sup), v)
+        if info:
+            raise np.linalg.LinAlgError(f"compact filter is singular (dgtsv info {info})")
+        return x
 
 
 def assemble_B(side, grid, lam):
@@ -117,14 +140,41 @@ def assemble_B(side, grid, lam):
     return CompactMatrixB(dim=grid.M - 1, sub=sub, diag=2.0 / 3.0, sup=sup)
 
 
-def _weight_toeplitz(w, dim, h_alpha):
-    """Lower-Hessenberg Toeplitz: first superdiagonal w_0, diagonal w_1, k-th
-    subdiagonal w_{k+1}, all scaled by 1/h**alpha."""
-    A = np.zeros((dim, dim))
-    for off in range(-(dim - 1), 2):  # off = column - row
-        np.fill_diagonal(A[max(0, -off):, max(0, off):], w[1 - off])
-    A /= h_alpha
-    return A
+def P_column_row(params, grid, tau, include_tau=True):
+    """First column and first row of the left-sided P, each of length M-1.
+
+    The weight matrix contributes w_1, w_2, ..., w_{M-1} down the column and
+    w_1, w_0 along the row (scaled by 1/h**alpha); the advection correction
+    and the compact filter add their two off-diagonal bands.  Emits a warning
+    when lam*h exceeds 1, the stability threshold.  ``include_tau`` as in
+    :func:`assemble_P`.
+    """
+    alpha, lam, K = params.alpha, params.lam, params.diffusivity
+    if not 1.0 < alpha < 2.0:
+        raise ValueError(f"alpha must lie strictly in (1, 2), got {alpha}")
+    h = grid.h
+    if lam * h > 1.0:
+        warnings.warn(
+            f"lam*h = {lam * h:.3g} > 1: the implicit schemes may be unstable",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    dim = grid.M - 1
+    w = tempered_weights(params, h, grid.M).values
+    h_alpha = h**alpha
+    A_col, A_row = w[1:dim + 1] / h_alpha, np.zeros(dim)
+    A_row[:2] = w[1] / h_alpha, w[0] / h_alpha
+
+    elh = math.exp(lam * h)
+    C_col, C_row = np.zeros(dim), np.zeros(dim)
+    C_col[1], C_row[1] = -1.0 / elh / (2.0 * h), elh / (2.0 * h)
+
+    B_col, B_row = assemble_B("left", grid, lam).column_row()
+    advection, compact = alpha * lam ** (alpha - 1.0), lam**alpha * (alpha - 1.0)
+    scale = K * tau if include_tau else K
+    col = (A_col - advection * C_col + compact * B_col) * scale
+    row = (A_row - advection * C_row + compact * B_row) * scale
+    return col, row
 
 
 def assemble_P(side, params, grid, tau, include_tau=True):
@@ -136,29 +186,7 @@ def assemble_P(side, params, grid, tau, include_tau=True):
     Emits a warning when lam*h exceeds 1, the stability threshold.
     """
     _check_side(side)
-    alpha, lam, K = params.alpha, params.lam, params.diffusivity
-    if not 1.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie strictly in (1, 2), got {alpha}")
-    h = grid.h
-    if lam * h > 1.0:
-        warnings.warn(
-            f"lam*h = {lam * h:.3g} > 1: the implicit schemes may be unstable",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    dim = grid.M - 1
-    w = tempered_weights(params, h, grid.M).values
-    A = _weight_toeplitz(w, dim, h**alpha)
-
-    elh = math.exp(lam * h)
-    C = np.zeros((dim, dim))
-    np.fill_diagonal(C[1:], -1.0 / elh)
-    np.fill_diagonal(C[:, 1:], elh)
-    C /= 2.0 * h
-
-    B = assemble_B("left", grid, lam).to_dense()
-    P = A - alpha * lam ** (alpha - 1.0) * C + lam**alpha * (alpha - 1.0) * B
-    P *= K * tau if include_tau else K
+    P = toeplitz(*P_column_row(params, grid, tau, include_tau))
     return P if side == "left" else P.T
 
 

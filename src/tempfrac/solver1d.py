@@ -15,10 +15,18 @@ Every scheme is an affine step  U <- G U + f_n  with a constant G.  A run
 assembles and factors its matrices once and compiles its forcing once, into
 terms that are each a fixed vector times a scalar function of time (the far
 boundary trace always is, and so is a :class:`SeparableSource`) or, for a
-plain source callable, one source evaluation per step.  One marcher then
-takes one of two paths:
+plain source callable, one source evaluation per step.  Each scalar function
+is sampled once per distinct time level of the run.
 
-* stepwise: the LU solves of the scheme, one step at a time.  This is the
+A step is a sequence of stages, each a (solve, apply) pair:
+U <- solve(apply(U) + f).  The matrices are built from Toeplitz columns and
+rows (see :func:`~tempfrac.operators.P_column_row`): a dense Toeplitz system
+is LU-factored once, in place, and the compact filter B stays banded, applied
+by :meth:`~tempfrac.operators.CompactMatrixB.matvec` and inverted by
+:meth:`~tempfrac.operators.CompactMatrixB.solve` in O(M).  Both act column by
+column on matrices.  One marcher then takes one of two paths:
+
+* stepwise: the stages of the scheme, one step at a time.  This is the
   reference path, and the only one for plain-callable sources, stored
   histories, two dimensions and runs too short for a dense G to pay;
 * block: K steps at once, U <- G^K U + W g, with G^K and the columns
@@ -43,10 +51,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, toeplitz
 
 from .calculus import TemperedParams, tempered_weights
-from .operators import Grid1D, TimeGrid, apply_compact, assemble_B, assemble_H, assemble_P
+from .operators import Grid1D, TimeGrid, P_column_row, apply_compact, assemble_B, assemble_H
 
 __all__ = [
     "ProblemSpec1D",
@@ -208,9 +216,7 @@ def _march(step, U, time, terms, store_history=False):
     general = [term for term in terms if term.vectors is None]
     # samples[n, k]: factor of scalar term k at step n; per_stage[i][k]: its
     # vector in stage i
-    samples = np.empty((N, len(scalar)))
-    for k, term in enumerate(scalar):
-        samples[:, k] = np.fromiter((term.fn((n + term.shift) * tau) for n in range(N)), float, N)
+    samples = _sample(scalar, N, tau)
     per_stage = list(zip(*(term.vectors for term in scalar)))
     live = samples.any(axis=1)  # steps where some scalar term is nonzero
     history = [U] if store_history else None
@@ -236,6 +242,29 @@ def _march(step, U, time, terms, store_history=False):
     if K == 1:
         return stepwise(U, 0, N), history
     return _march_blocks(step, U, samples, per_stage, K, stepwise), None
+
+
+def _sample(terms, N, tau):
+    """samples[n, k] = terms[k].fn((n + shift_k) * tau).
+
+    Terms with one callable whose shifts differ by whole steps read one run
+    of samples, so that callable is called once per distinct time (the far
+    boundary trace enters at shifts 0 and 1).
+    """
+    samples = np.empty((N, len(terms)))
+    runs = {}
+    for k, term in enumerate(terms):
+        runs.setdefault((id(term.fn), math.modf(term.shift)[0]), []).append(k)
+    for ks in runs.values():
+        # the shifts share their fractional part, so j + first is exactly
+        # n + shift_k for j = n + lag_k
+        first = min(terms[k].shift for k in ks)
+        lags = [int(terms[k].shift - first) for k in ks]
+        fn, count = terms[ks[0]].fn, N + max(lags)
+        values = np.fromiter((fn((j + first) * tau) for j in range(count)), float, count)
+        for k, lag in zip(ks, lags):
+            samples[:, k] = values[lag:lag + N]
+    return samples
 
 
 def _march_blocks(step, U, samples, per_stage, K, stepwise):
@@ -305,10 +334,20 @@ def _solve(spec, stages, terms, store_history):
 
 
 def _apply_stages(stages, U, forcing):
-    """One scheme step: U <- lu^{-1} (A U + f) for each stage (lu, A)."""
-    for (lu, A), f in zip(stages, forcing):
-        U = lu_solve(lu, A @ U + f, check_finite=False)
+    """One scheme step: U <- solve(apply(U) + f) for each stage (solve, apply)."""
+    for (solve, apply), f in zip(stages, forcing):
+        U = solve(apply(U) + f)
     return U
+
+
+def _lu_toeplitz(col, row):
+    """Solver for toeplitz(col, row), LU-factored once.
+
+    toeplitz(row, col).T is that matrix in Fortran order, which LAPACK
+    factors in place without a second copy.
+    """
+    lu = lu_factor(toeplitz(row, col).T, overwrite_a=True)
+    return lambda b: lu_solve(lu, b, check_finite=False)
 
 
 # ------------------------------------------------------------ the schemes
@@ -323,8 +362,12 @@ def _solve_one_sided(spec, side, store_history):
     vectors from ``assemble_H`` carry it.
     """
     grid, params, tau = spec.grid, spec.params, spec.time.tau
-    B = assemble_B(side, grid, params.lam).to_dense()
-    P = assemble_P(side, params, grid, tau)
+    B = assemble_B(side, grid, params.lam)
+    P_col, P_row = P_column_row(params, grid, tau)
+    if side == "right":  # the right-sided P is the left-sided one transposed
+        P_col, P_row = P_row, P_col
+    B_col, B_row = B.column_row()
+    solve = _lu_toeplitz(B_col - P_col, B_row - P_row)
     weights = tempered_weights(params, grid.h, grid.M)
 
     def trace_vector(now, nxt):
@@ -339,7 +382,7 @@ def _solve_one_sided(spec, side, store_history):
         _Term(far, 0.0, (trace_vector(1.0, 0.0),)),
         _Term(far, 1.0, (trace_vector(0.0, 1.0),)),
     )
-    return _solve(spec, ((lu_factor(B - P), B),), terms, store_history)
+    return _solve(spec, ((solve, B.matvec),), terms, store_history)
 
 
 def solve_left(spec, store_history=False):
@@ -378,12 +421,13 @@ def solve_two_sided(spec, store_history=False):
     _warn_corner_mismatch(spec)
 
     grid, tau, lam = spec.grid, spec.time.tau, spec.params.lam
-    Bl = assemble_B("left", grid, lam).to_dense()
-    Br = Bl.T
-    Pl = assemble_P("left", spec.params, grid, tau, include_tau=False)
-    lu_star = lu_factor(Bl)
-    lu_step = lu_factor(Br - tau * Pl.T)
-    stages = ((lu_star, Bl + tau * Pl), (lu_step, Br))
+    Bl, Br = assemble_B("left", grid, lam), assemble_B("right", grid, lam)
+    P_col, P_row = P_column_row(spec.params, grid, tau, include_tau=False)
+    B_col, B_row = Bl.column_row()
+    explicit = toeplitz(B_col + tau * P_col, B_row + tau * P_row)  # B_l + tau P_l
+    # B_r - tau P_r = (B_l - tau P_l)^T
+    implicit = _lu_toeplitz(B_row - tau * P_row, B_col - tau * P_col)
+    stages = ((Bl.solve, explicit.dot), (implicit, Br.matvec))
     half = 0.5 * tau
     term = _source_term(spec.source, (grid.nodes(),), 0.5, lambda F: (
         half * apply_compact("left", lam, grid.h, F),

@@ -11,7 +11,8 @@ alpha and beta with rates lam_1 and lam_2.  The factored two-sweep step is
 with P assembled without the tau factor and S the compact-filtered source,
 including its boundary-ring samples (the full stencil reaches one node past
 each edge; without those samples the scheme loses its spatial order).  Both
-directional factorizations are computed once per run, and the forcing is
+directional factorizations are computed once per run from dense B and P
+(the grids stay small enough for dense sweeps), and the forcing is
 compiled once: for a :class:`~tempfrac.solver1d.SeparableSource` each step
 only scales the precomputed tau * S by the temporal factor.  The steps run
 one at a time through the marcher of :mod:`tempfrac.solver1d`.

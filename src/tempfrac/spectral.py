@@ -67,9 +67,13 @@ def _classify(eig_min, eig_max):
     return "indefinite"
 
 
+def _check_dim(dim):
+    if dim > _MAX_DIM:
+        raise ValueError(f"diagnostic dimension capped at {_MAX_DIM}, got {dim}")
+
+
 def _sym_eigvals(A):
-    if A.shape[0] > _MAX_DIM:
-        raise ValueError(f"diagnostic dimension capped at {_MAX_DIM}, got {A.shape[0]}")
+    _check_dim(A.shape[0])
     return np.linalg.eigvalsh(0.5 * (A + A.T))
 
 
@@ -79,6 +83,7 @@ def check_P_definiteness(params, grid, tau):
     The verdict is guaranteed only for lam * h <= 1; beyond that threshold the
     report is informational.
     """
+    _check_dim(grid.M - 1)  # before assembling a matrix that size
     P = assemble_P("left", params, grid, tau)
     eigs = _sym_eigvals(P)
     return DefinitenessReport(

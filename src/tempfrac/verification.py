@@ -421,6 +421,8 @@ def _steps_for(coupling, h, T, fixed_tau):
     elif coupling == "fixed":
         if fixed_tau is None:
             raise ValueError("fixed coupling requires an explicit tau")
+        if not fixed_tau > 0.0:
+            raise ValueError(f"fixed tau must be > 0, got {fixed_tau}")
         target = fixed_tau
     else:
         raise ValueError(f"unknown coupling {coupling!r}; use 'h3', 'h32' or 'fixed'")

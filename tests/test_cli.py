@@ -74,8 +74,28 @@ class TestConvergeCommand:
                      "--levels", "2", "--coupling", "fixed", "--tau", "0.05"])
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["--coupling", "fixed"],
+        ["--coupling", "fixed", "--tau", "-1"],
+        ["--coupling", "fixed", "--tau", "0"],
+        ["--h", "0"],
+        ["--h", "-0.1"],
+        ["--h", "0.5"],  # two cells
+    ])
+    def test_usage_errors_exit_2(self, capsys, argv):
+        assert main(["converge", "--levels", "2", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestStabilityCommand:
+    @pytest.mark.parametrize("argv", [["--h", "0"], ["--h", "-0.1"], ["--h", "0.001"]])
+    def test_usage_errors_exit_2(self, capsys, argv):
+        # --h 0.001 asks for a 999-unknown eigen-solve, beyond the diagnostic cap
+        assert main(["stability", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     def test_unstable_configuration_flagged(self, capsys):
         assert main(["stability", "--alpha", "1.9", "--lambda", "50", "--h", "0.1"]) == 0
         out = capsys.readouterr().out

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempfrac.calculus import TemperedParams, exact_power_derivative, tempered_weights
 from tempfrac.operators import (
@@ -66,6 +68,66 @@ class TestCompactMatrix:
         rng = np.random.default_rng(7)
         v = rng.standard_normal(g.M - 1)
         assert B.matvec(v.copy()) == pytest.approx(B.to_dense() @ v, rel=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        side=st.sampled_from(["left", "right"]),
+        lam_h=st.floats(0.0, 1.0),
+        M=st.integers(4, 400),
+        k=st.sampled_from([None, 1, 3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matvec_and_solve_match_dense(self, side, lam_h, M, k, seed):
+        g = Grid1D(0.0, 1.0, M)
+        B = assemble_B(side, g, lam_h / g.h)
+        shape = (g.M - 1,) if k is None else (g.M - 1, k)
+        v = np.random.default_rng(seed).standard_normal(shape)
+        dense = B.to_dense()
+        assert B.matvec(v) == pytest.approx(dense @ v, rel=1e-14, abs=1e-14)
+        x = B.solve(v)
+        assert x.shape == v.shape
+        want = np.linalg.solve(dense, v)
+        assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def dense_reference_P(params, grid, tau):
+    """Left-sided P built diagonal by diagonal from dense A, C and B."""
+    alpha, lam, h, dim = params.alpha, params.lam, grid.h, grid.M - 1
+    w = tempered_weights(params, h, grid.M).values
+    A = np.zeros((dim, dim))
+    for off in range(-(dim - 1), 2):  # off = column - row; w_{1 - off} on it
+        np.fill_diagonal(A[max(0, -off):, max(0, off):], w[1 - off])
+    A /= h**alpha
+    elh = math.exp(lam * h)
+    C = np.zeros((dim, dim))
+    np.fill_diagonal(C[1:], -1.0 / elh)
+    np.fill_diagonal(C[:, 1:], elh)
+    C /= 2.0 * h
+    B = np.zeros((dim, dim))
+    np.fill_diagonal(B, 2.0 / 3.0)
+    np.fill_diagonal(B[1:], 1.0 / elh / 6.0)
+    np.fill_diagonal(B[:, 1:], elh / 6.0)
+    P = A - alpha * lam ** (alpha - 1.0) * C + lam**alpha * (alpha - 1.0) * B
+    return P * (params.diffusivity * tau)
+
+
+class TestToeplitzStructure:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(1.01, 1.99),
+        lam_h=st.floats(0.0, 1.0),
+        M=st.integers(4, 400),
+        K=st.floats(0.1, 4.0),
+        tau=st.floats(1e-4, 1.0),
+    )
+    def test_P_is_toeplitz_and_matches_dense_reference(self, alpha, lam_h, M, K, tau):
+        g = Grid1D(0.0, 1.0, M)
+        params = TemperedParams(alpha, lam_h / g.h, diffusivity=K)
+        P = assemble_P("left", params, g, tau)
+        assert np.array_equal(P[1:, 1:], P[:-1, :-1])  # constant along diagonals
+        assert np.array_equal(assemble_P("right", params, g, tau), P.T)
+        ref = dense_reference_P(params, g, tau)
+        assert np.max(np.abs(P - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 class TestSystemMatrix:

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 from tempfrac import solver1d
 from tempfrac.calculus import TemperedParams
-from tempfrac.operators import Grid1D, TimeGrid, assemble_B
+from tempfrac.operators import Grid1D, TimeGrid, apply_compact, assemble_B, assemble_P
 from tempfrac.solver1d import (
     BlowupError,
     ProblemSpec1D,
@@ -226,6 +227,9 @@ def block_steps(K):
 
 
 SOLVERS = {"left": solve_left, "right": solve_right, "two_sided": solve_two_sided}
+# a coefficient below 1e-300 in size scales the data into the subnormal range,
+# where no relative bound holds in IEEE arithmetic
+COEFFICIENTS = st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-300)
 
 
 def manufactured_spec(side, alpha, M, N):
@@ -260,8 +264,8 @@ class TestBlockMarching:
     @given(
         side=st.sampled_from(sorted(SOLVERS)),
         K=st.sampled_from([1, 7, 64]),
-        a=st.floats(-2.0, 2.0),
-        b=st.floats(-2.0, 2.0),
+        a=COEFFICIENTS,
+        b=COEFFICIENTS,
         seed=st.integers(0, 2**16),
     )
     def test_solution_is_linear_in_initial_and_source(self, side, K, a, b, seed):
@@ -329,3 +333,76 @@ class TestBlockMarching:
         with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
             solve_left(spec)
         assert blocks.call_count == 1
+
+
+class TestForcingSamples:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("K", [1, 64])
+    def test_far_trace_is_sampled_once_per_time_level(self, side, K):
+        case = case_ex5_1(1.5, 1.0, j=5) if side == "left" else case_ex5_2(1.5, 1.0, j=5)
+        N = 150
+        spec = case.build_spec(0.1)(N)
+        far = "boundary_right" if side == "left" else "boundary_left"
+        times = []
+
+        def counted(t):
+            times.append(t)
+            return getattr(spec, far)(t)
+
+        counted_spec = ProblemSpec1D(**{**spec.__dict__, far: counted})
+        with block_steps(K):
+            got = SOLVERS[side](counted_spec).values
+            want = SOLVERS[side](spec).values
+        assert np.array_equal(got, want)
+        # the corner check at t = 0, one sample per time level of the
+        # forcing, then the boundary value of the returned solution at T
+        assert len(times) == N + 3
+        assert len(set(times[1:-1])) == N + 1
+
+    def test_shared_callable_gives_the_same_samples(self):
+        tau, N = 0.01, 40
+        fn = math.cos
+        shared = (solver1d._Term(fn, 0.0, ()), solver1d._Term(fn, 1.0, ()),
+                  solver1d._Term(fn, 0.5, ()))
+        apart = (solver1d._Term(fn, 0.0, ()), solver1d._Term(lambda t: fn(t), 1.0, ()),
+                 solver1d._Term(lambda t: fn(t), 0.5, ()))
+        samples = solver1d._sample(shared, N, tau)
+        assert np.array_equal(samples, solver1d._sample(apart, N, tau))
+        assert np.array_equal(samples[:, 1], [fn((n + 1.0) * tau) for n in range(N)])
+
+
+class TestTwoSidedStep:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(1.05, 1.95),
+        lam_h=st.floats(0.0, 1.0),
+        M=st.integers(5, 80),
+        tau=st.floats(1e-4, 1e-2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_banded_step_equals_dense_lu_step(self, alpha, lam_h, M, tau, seed):
+        # one step of the solver against the scheme written out with dense
+        # LU factorizations of B_l and of B_r - tau P_r
+        g = Grid1D(0.0, 1.0, M)
+        lam = lam_h / g.h
+        params = TemperedParams(alpha, lam)
+        u, p = np.random.default_rng(seed).standard_normal((2, 4))
+        spec = ProblemSpec1D(
+            grid=g, time=TimeGrid(tau, 1), params=params, side="two_sided",
+            initial=lambda x: x * (1.0 - x) * np.polyval(u, x),
+            boundary_left=ZERO, boundary_right=ZERO,
+            source=lambda x, t: math.exp(-t) * np.polyval(p, x),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = solve_two_sided(spec).values[1:-1]
+            Pl = assemble_P("left", params, g, tau, include_tau=False)
+        Bl = assemble_B("left", g, lam).to_dense()
+        Br = Bl.T
+        F = spec.source(g.nodes(), 0.5 * tau)
+        U0 = spec.initial(g.interior())
+        star = lu_solve(lu_factor(Bl), (Bl + tau * Pl) @ U0
+                        + 0.5 * tau * apply_compact("left", lam, g.h, F))
+        want = lu_solve(lu_factor(Br - tau * Pl.T), Br @ star
+                        + 0.5 * tau * apply_compact("right", lam, g.h, F))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempfrac.calculus import TemperedParams, w3_closed_form
-from tempfrac.operators import Grid1D, assemble_P
+from tempfrac.operators import Grid1D, P_column_row, assemble_P
 from tempfrac.spectral import (
     RegimeError,
     check_B_bounds,
@@ -146,6 +148,26 @@ class TestGeneratingFunction:
         fmin, fmax = generating_function_range(P[:, 0], P[0, :])
         assert fmin - 1e-10 <= eigs[0]
         assert eigs[-1] <= fmax + 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(1.01, 1.99),
+        lam_h=st.floats(0.0, 1.0),
+        M=st.integers(4, 400),
+        tau=st.floats(1e-3, 1.0),
+    )
+    def test_weyl_bracket_of_sym_P(self, alpha, lam_h, M, tau):
+        # sym(P) is the Toeplitz section of the cosine series built from P's
+        # column and row, so its spectrum lies inside that series' range
+        g, rate = grid_for(lam_h, M)
+        params = TemperedParams(alpha, rate)
+        rep = check_P_definiteness(params, g, tau)
+        col, row = P_column_row(params, g, tau)
+        sym = 0.5 * (col + row)
+        fmin, fmax = generating_function_range(sym, sym)
+        slack = 1e-12 * max(abs(fmin), abs(fmax))  # eigen-solver round-off
+        assert fmin - slack <= rep.eig_min
+        assert rep.eig_max <= fmax + slack
 
     def test_corner_mismatch_rejected(self):
         with pytest.raises(ValueError):

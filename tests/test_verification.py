@@ -160,6 +160,12 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             run_convergence_study(case, [0.1, 0.05], coupling="fixed")
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_fixed_coupling_needs_positive_tau(self, tau):
+        case = case_ex5_1(1.5, 1.0, j=5)
+        with pytest.raises(ValueError, match="> 0"):
+            run_convergence_study(case, [0.1, 0.05], coupling="fixed", fixed_tau=tau)
+
     def test_make_case_dispatch(self):
         assert make_case("ex5_1", alpha=1.5, lam=1.0, j=3).ident == "ex5_1"
         with pytest.raises(KeyError):
