@@ -11,12 +11,14 @@ Three schemes share the spatial machinery of :mod:`tempfrac.operators`:
   operator after an explicit half with the left-sided one, the source applied
   half-and-half at the midpoint time.
 
-Every scheme is an affine step  U <- G U + f_n  with a constant G.  A run
-assembles and factors its matrices once and compiles its forcing once, into
-terms that are each a fixed vector times a scalar function of time (the far
-boundary trace always is, and so is a :class:`SeparableSource`) or, for a
-plain source callable, one source evaluation per step.  Each scalar function
-is sampled once per distinct time level of the run.
+Every scheme is an affine step  U <- G U + f_n  with a constant G; so is
+the 2D ADI step of :mod:`tempfrac.solver2d`, U <- L U R^T + f_n on a matrix
+U, whose G is R (x) L.  A run assembles and factors its matrices once and
+compiles its forcing once, into terms that are each a fixed vector times a
+scalar function of time (the far boundary trace always is, and so is a
+:class:`SeparableSource`) or, for a plain source callable, one source
+evaluation per step.  Each scalar function is sampled once per distinct time
+level of the run.
 
 A step is a sequence of stages, each a (solve, apply) pair:
 U <- solve(apply(U) + f).  The matrices are built from Toeplitz columns and
@@ -28,9 +30,11 @@ column on matrices.  One marcher then takes one of two paths:
 
 * stepwise: the stages of the scheme, one step at a time.  This is the
   reference path, and the only one for plain-callable sources, stored
-  histories, two dimensions and runs too short for a dense G to pay;
-* block: K steps at once, U <- G^K U + W g, with G^K and the columns
-  G^j d of W precomputed and g holding the K temporal samples of each term.
+  histories and runs too short for dense factors to pay;
+* block: K steps at once on an (m, r) state, U <- L^K U (R^K)^T + W g, with
+  the powers and the terms L^j D (R^j)^T of W precomputed and g holding the
+  K temporal samples of each term.  A vector state is the case r = 1,
+  R = [[1]], L = G.
 
 Any non-finite value, or a sup-norm beyond 1e30, aborts with
 :class:`BlowupError` carrying the failing step index; that is the diagnostic
@@ -71,6 +75,8 @@ _BLOWUP_LIMIT = 1e30
 # that round-off between the paths cannot change which step crosses it.
 _BLOCK_LIMIT = 1e-6 * _BLOWUP_LIMIT
 _BLOCK = 64
+# the W stack of a block holds at most this many floats (1 MiB)
+_BLOCK_FLOATS = 2**17
 
 
 class BlowupError(RuntimeError):
@@ -87,9 +93,9 @@ class SeparableSource:
 
     ``profile`` maps the space arguments (the nodes in 1D, the meshgrid arrays
     X, Y in 2D) to the space factor, and ``temporal`` maps a time to a scalar.
-    The solvers evaluate the profile once per run, and the 1D solvers march
-    such problems in blocks of steps.  A boundary trace is a scalar function
-    of time, so it is separable as it stands and needs no such wrapper.
+    The solvers evaluate the profile once per run and march such problems
+    in blocks of steps.  A boundary trace is a scalar function of time, so it
+    is separable as it stands and needs no such wrapper.
     """
 
     profile: Callable
@@ -192,24 +198,40 @@ def _source_term(source, space, shift, stencil):
     return _Term(lambda t: stencil(np.asarray(source(*space, t), dtype=float)), shift)
 
 
-def _block_steps(m, N):
-    """Steps per block for m unknowns and N steps; 1 selects the stepwise path.
+def _block_steps(m, N, r=1, terms=1):
+    """Steps per block for an (m, r) state, N steps and ``terms`` forcing
+    terms; 1 selects the stepwise path.
 
-    Forming G and its powers costs about 32 m^3 flops; each block step saves
-    the per-step overhead (some 40 us) and an LU solve's 2 m^2 flops.  At
-    0.5 ns per flop the block path pays when N (4e4 + m^2) >= 16 m^3.
+    Forming the factors L, R and their powers costs about 32 (m^3 + r^3)
+    flops.  Each block step saves the per-step overhead (some 40 us) and the
+    flops of a stepwise step: 2 m^2 for a vector state (r = 1, one LU solve)
+    and 4 m r (m + r) in 2D (two dense products, two LU sweeps).  At 0.5 ns
+    per flop the block path pays when N (4e4 + half those flops) >=
+    16 (m^3 + r^3), which in 2D means from about 8 steps; measured on 2
+    cores, the 2D block path wins from 4 to 8 steps at m = r = 9 to 239.
+    A block is the largest power of two up to _BLOCK steps whose forcing
+    stack, K terms m r floats, fits in _BLOCK_FLOATS.
     """
-    return _BLOCK if N * (4e4 + m * m) >= 16.0 * m**3 else 1
+    saved = m * m if r == 1 else 2 * m * r * (m + r)
+    if N * (4e4 + saved) < 16.0 * (m**3 + r**3):
+        return 1
+    K = _BLOCK
+    while K > 1 and K * terms * m * r > _BLOCK_FLOATS:
+        K //= 2
+    return K
 
 
-def _march(step, U, time, terms, store_history=False):
+def _march(step, U, time, terms, store_history=False, factors=None):
     """Run ``U <- step(U, forcing of step n)`` for the N steps of ``time``.
 
     ``step`` is linear in (U, forcing); the forcing of each stage is the sum
-    of ``terms`` at step n.  A vector U whose terms are all scalar-times-
-    vector may take the block path, which needs ``step`` to map a matrix
-    column by column.  Returns the final state and, with ``store_history``,
-    the list of every state.
+    of ``terms`` at step n.  The state is an (m, r) matrix U and a step is
+    U <- L U R^T + f_n with constant factors ``factors() = (L, R)``; a
+    vector U is the case r = 1, whose factors default to L = step(I, 0)
+    (``step`` must then map a matrix column by column) and R = [[1]].  A run
+    whose terms are all scalar-times-vector may take the block path.
+    Returns the final state and, with ``store_history``, the list of every
+    state.
     """
     N, tau = time.N, time.tau
     scalar = [term for term in terms if term.vectors is not None]
@@ -238,10 +260,15 @@ def _march(step, U, time, terms, store_history=False):
                 history.append(U)
         return U
 
-    K = _block_steps(len(U), N) if U.ndim == 1 and not general and not store_history else 1
+    K = 1
+    if not general and not store_history:
+        m, r = U.reshape(len(U), -1).shape
+        K = _block_steps(m, N, r, len(scalar))
     if K == 1:
         return stepwise(U, 0, N), history
-    return _march_blocks(step, U, samples, per_stage, K, stepwise), None
+    if factors is None:
+        factors = lambda: (step(np.eye(len(U)), [0.0] * len(per_stage)), np.ones((1, 1)))
+    return _march_blocks(step, U, samples, per_stage, factors, K, stepwise), None
 
 
 def _sample(terms, N, tau):
@@ -267,58 +294,99 @@ def _sample(terms, N, tau):
     return samples
 
 
-def _march_blocks(step, U, samples, per_stage, K, stepwise):
+def _march_blocks(step, U, samples, per_stage, factors, K, stepwise):
     """Blocks of K steps, then one block of the N mod K steps left over.
 
-    A block maps U to G^k U + W g, where g = samples[n:n+k].ravel() and the
-    column of W for term t at step j of the block is G^(k-1-j) d_t, with
-    d_t = step(0, vectors of t).
+    With (L, R) = factors() a step maps the (m, r) state U to
+    L U R^T + sum_t c_t D_t, where D_t = step(0, vectors of term t).  A block
+    of k steps maps U to L^k U (R^k)^T + sum_j g_j W_j, where
+    g = samples[n:n+k].ravel() and W_j for term t at step i of the block is
+    L^(k-1-i) D_t (R^(k-1-i))^T.
     """
     N, T = samples.shape
-    m = len(U)
-    G = step(np.eye(m), [0.0] * len(per_stage))
-    D = step(np.zeros((m, T)), [np.column_stack(vectors) for vectors in per_stage])
-    # G^(2^i) for every bit of K; the product of their norms (at least 1
-    # each) bounds ||G^j|| for every j <= K
-    powers = [G]
-    for _ in range(K.bit_length() - 1):
-        powers.append(powers[-1] @ powers[-1])
-    gamma = math.prod(max(1.0, np.linalg.norm(P, np.inf)) for P in powers)
+    shape = U.shape
+    L, R = factors()
+    m, r = len(L), len(R)
+    if U.ndim == 1:  # a vector step maps a matrix column by column: one call for all terms
+        D = step(np.zeros((m, T)), [np.column_stack(v) for v in per_stage])[:, :, None]
+    else:
+        D = np.stack([step(np.zeros(shape), list(v)) for v in zip(*per_stage)], axis=1)
+    # L^(2^i) and R^(2^i) for every bit of K; since
+    # ||L V R^T||_max <= ||L||_inf ||V||_max ||R||_inf, the product of their
+    # norms (at least 1 each) bounds the growth of any j <= K steps.  An
+    # unstable step may overflow them: gamma is then inf or NaN, and every
+    # block is replayed.
+    powers = [(L, R)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(K.bit_length() - 1):
+            Lp, Rp = powers[-1]
+            powers.append((Lp @ Lp, Rp @ Rp))
+        # ||P||_inf of the powers of L, then of those of R
+        norms = [np.abs(np.stack(Ps)).sum(axis=2).max(axis=1) for Ps in zip(*powers)]
+    # Python floats overflow to inf silently; np.maximum keeps a NaN
+    gamma = math.prod(np.maximum(1.0, np.concatenate(norms)).tolist())
     # sup-norm bound of each step's forcing, summed per block below
-    forcing_bound = np.abs(samples) @ np.max(np.abs(D), axis=0)
+    forcing_bound = np.abs(samples) @ np.max(np.abs(D), axis=(0, 2))
 
+    # the forcing stack of a block of k steps is the tail of the longest one
+    W = _forcing_stack(powers, D, min(K, N))
     n = 0
-    u_norm = np.max(np.abs(U))
+    U = U.reshape(m, r)
+    u_norm = abs(U).max()
     for k in (K, N % K):
         if k == 0 or n + k > N:
             continue
-        Gk, W = _block_operator(powers, D, k)
-        while n + k <= N:
-            V = Gk @ U + W @ samples[n:n + k].ravel()
-            v_norm = np.max(np.abs(V))
-            bound = gamma * (u_norm + forcing_bound[n:n + k].sum())
-            if bound <= _BLOCK_LIMIT and v_norm <= _BLOCK_LIMIT:
+        Lk, Rk = _block_power(powers, k)
+        RkT, Wk = Rk.T, W[:, W.shape[1] - k * T:]
+        blocks = (N - n) // k
+        bounds = forcing_bound[n:n + blocks * k].reshape(blocks, k).sum(axis=1)
+        for block_bound in bounds.tolist():
+            accepted = False
+            if gamma * (u_norm + block_bound) <= _BLOCK_LIMIT:
+                V = Lk @ U @ RkT + (Wk @ samples[n:n + k].ravel()).reshape(m, r)
+                v_norm = abs(V).max()
+                accepted = v_norm <= _BLOCK_LIMIT
+            if accepted:
                 U, u_norm = V, v_norm
             else:
-                U = stepwise(U, n, n + k)
-                u_norm = np.max(np.abs(U))
+                U = stepwise(U.reshape(shape), n, n + k).reshape(m, r)
+                u_norm = abs(U).max()
             n += k
-    return U
+    return U.reshape(shape)
 
 
-def _block_operator(powers, D, k):
-    """G^k and W = [G^(k-1) D, ..., G D, D] for blocks of k steps."""
-    Gk = None
-    for i, P in enumerate(powers):
+def _block_power(powers, k):
+    """L^k and R^k from the squarings (L^(2^i), R^(2^i))."""
+    Lk = Rk = None
+    for i, (L, R) in enumerate(powers):
         if k >> i & 1:
-            Gk = P if Gk is None else P @ Gk
-    X, T = D, D.shape[1]  # [D, G D, ..., G^(w-1) D], doubled with G^w
-    for P in powers:
-        if X.shape[1] >= k * T:
+            Lk = L if Lk is None else L @ Lk
+            Rk = R if Rk is None else R @ Rk
+    return Lk, Rk
+
+
+def _forcing_stack(powers, D, k):
+    """W for blocks of k steps, from the forcing terms D of shape (m, T, r).
+
+    Row a r + b, column i T + t of W holds entry (a, b) of
+    L^(k-1-i) D_t (R^(k-1-i))^T, so W @ g sums the forcing of a block.
+    """
+    m, T, r = D.shape
+    # X[:, i T + t] = L^i D_t (R^i)^T, filled by doubling: the first w
+    # entries through L^w and R^w give the next w, one product through L and
+    # one through R^T each
+    X = np.empty((m, k * T, r))
+    X[:, :T] = D
+    w = 1
+    for L, R in powers:
+        if w >= k:
             break
-        X = np.hstack([X, P @ X])
-    m = len(D)
-    return Gk, X[:, :k * T].reshape(m, k, T)[:, ::-1].reshape(m, k * T)
+        c = min(w, k - w) * T
+        Y = (L @ X[:, :c].reshape(m, c * r)).reshape(m * c, r) @ R.T
+        X[:, w * T:w * T + c] = Y.reshape(m, c, r)
+        w *= 2
+    X = X.reshape(m, k, T, r)[:, ::-1]
+    return X.transpose(0, 3, 1, 2).reshape(m * r, k * T)
 
 
 def _solve(spec, stages, terms, store_history):

@@ -14,8 +14,15 @@ each edge; without those samples the scheme loses its spatial order).  Both
 directional factorizations are computed once per run from dense B and P
 (the grids stay small enough for dense sweeps), and the forcing is
 compiled once: for a :class:`~tempfrac.solver1d.SeparableSource` each step
-only scales the precomputed tau * S by the temporal factor.  The steps run
-one at a time through the marcher of :mod:`tempfrac.solver1d`.
+only scales the precomputed tau * S by the temporal factor.
+
+The step is U^{n+1} = L U^n R^T + c(t_{n+1/2}) D with the constant factors
+L = (B_x - tau/2 P_x)^{-1} (B_x + tau/2 P_x), R the same along y, and
+D = tau (B_x - tau/2 P_x)^{-1} S (B_y - tau/2 P_y)^{-T}.  The marcher of
+:mod:`tempfrac.solver1d` takes it in blocks of steps,
+U <- L^K U (R^K)^T + sum_j g_j L^j D (R^j)^T.  A run with a plain-callable
+source, and any block whose growth bound comes near the blowup limit, goes
+through the two LU sweeps one step at a time.
 """
 
 from __future__ import annotations
@@ -64,26 +71,40 @@ class Solution2D:
     values: np.ndarray
 
 
-def _adi_march(spec, Bx, Px, By, Py):
-    """Compile the sweeps and march; matrices are injectable so tests can zero a direction."""
+def _initial_surface(spec):
+    """The meshgrid arrays X, Y and the initial data on every node."""
+    X, Y = np.meshgrid(spec.grid_x.nodes(), spec.grid_y.nodes(), indexing="ij")
+    return X, Y, np.asarray(spec.initial(X, Y), dtype=float)
+
+
+def _adi_march(spec, Bx, Px, By, Py, surface=None):
+    """Compile the sweeps and march; matrices are injectable so tests can zero a direction.
+
+    ``surface`` is the caller's ``_initial_surface(spec)``, evaluated here
+    when not given.
+    """
     gx, gy, tau = spec.grid_x, spec.grid_y, spec.time.tau
     lu_x = lu_factor(Bx - 0.5 * tau * Px)
     lu_y = lu_factor(By - 0.5 * tau * Py)
     Ax = Bx + 0.5 * tau * Px
-    AyT = (By + 0.5 * tau * Py).T
+    Ay = By + 0.5 * tau * Py
 
     def step(U, forcing):
-        U_star = lu_solve(lu_x, Ax @ U @ AyT + forcing[0], check_finite=False)
+        U_star = lu_solve(lu_x, Ax @ U @ Ay.T + forcing[0], check_finite=False)
         return lu_solve(lu_y, U_star.T, check_finite=False).T
+
+    def factors():
+        # U^{n+1} = L U^n R^T + forcing, with L = lu_x^{-1} Ax, R = lu_y^{-1} Ay
+        return lu_solve(lu_x, Ax, check_finite=False), lu_solve(lu_y, Ay, check_finite=False)
 
     def compact(F):
         # tau * Tx F Ty^T: the compact filter along x, then along y
         S = apply_compact("left", spec.params_x.lam, gx.h, F)
         return (tau * apply_compact("left", spec.params_y.lam, gy.h, S.T).T,)
 
-    X, Y = np.meshgrid(gx.nodes(), gy.nodes(), indexing="ij")
-    U0 = np.asarray(spec.initial(X, Y), dtype=float)[1:-1, 1:-1]
-    U, _ = _march(step, U0, spec.time, (_source_term(spec.source, (X, Y), 0.5, compact),))
+    X, Y, U0 = surface or _initial_surface(spec)
+    U, _ = _march(step, U0[1:-1, 1:-1], spec.time,
+                  (_source_term(spec.source, (X, Y), 0.5, compact),), factors=factors)
     return U
 
 
@@ -93,8 +114,8 @@ def solve_adi(spec):
     The problem is posed with homogeneous Dirichlet boundaries; initial data
     that fails to vanish on the boundary ring draws a warning.
     """
-    X, Y = np.meshgrid(spec.grid_x.nodes(), spec.grid_y.nodes(), indexing="ij")
-    U0 = np.asarray(spec.initial(X, Y), dtype=float)
+    surface = _initial_surface(spec)
+    U0 = surface[2]
     ring = max(
         np.max(np.abs(U0[0, :])), np.max(np.abs(U0[-1, :])),
         np.max(np.abs(U0[:, 0])), np.max(np.abs(U0[:, -1])),
@@ -109,5 +130,5 @@ def solve_adi(spec):
     By = assemble_B("left", spec.grid_y, spec.params_y.lam).to_dense()
     Px = assemble_P("left", spec.params_x, spec.grid_x, spec.time.tau, include_tau=False)
     Py = assemble_P("left", spec.params_y, spec.grid_y, spec.time.tau, include_tau=False)
-    U = _adi_march(spec, Bx, Px, By, Py)
+    U = _adi_march(spec, Bx, Px, By, Py, surface)
     return Solution2D(grid_x=spec.grid_x, grid_y=spec.grid_y, time=spec.time, values=U)

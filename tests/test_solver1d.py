@@ -128,6 +128,38 @@ class TestMirrorSymmetry:
         sol_r = solve_right(spec_r)
         assert sol_r.values == pytest.approx(sol_l.values[::-1], rel=1e-12, abs=1e-14)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        alpha=st.floats(1.01, 1.99),
+        lam_h=st.floats(0.0, 1.0),
+        M=st.integers(4, 60),
+        N=st.integers(1, 300),
+        seed=st.integers(0, 2**16),
+    )
+    def test_mirrored_random_data(self, alpha, lam_h, M, N, seed):
+        # random data with a nonzero far trace e^{-t} c and a separable
+        # source; the initial data meets both traces at the corners
+        (c, *u), p = np.random.default_rng(seed).standard_normal((2, 4))
+        grid = Grid1D(0.0, 1.0, M)
+        params = TemperedParams(alpha, lam_h / grid.h)
+        far = lambda t: c * math.exp(-t)
+        initial = lambda x: x * (c + (1.0 - x) * np.polyval(u, x))
+        profile = lambda x: np.polyval(p, x)
+        spec_l = ProblemSpec1D(
+            grid=grid, time=TimeGrid(0.1, N), params=params, side="left",
+            initial=initial, boundary_left=ZERO, boundary_right=far,
+            source=SeparableSource(profile, math.cos),
+        )
+        spec_r = ProblemSpec1D(
+            grid=grid, time=TimeGrid(0.1, N), params=params, side="right",
+            initial=lambda x: initial(1.0 - np.asarray(x, dtype=float)),
+            boundary_left=far, boundary_right=ZERO,
+            source=SeparableSource(lambda x: profile(1.0 - x), math.cos),
+        )
+        got = solve_right(spec_r).values
+        want = solve_left(spec_l).values[::-1]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestBlowupDiagnostics:
     def test_unstable_rate_blows_up(self):
@@ -222,7 +254,7 @@ class TestTemporalOrder:
 @contextlib.contextmanager
 def block_steps(K):
     """March in blocks of K steps (1: stepwise) whatever the size of the run."""
-    with mock.patch.object(solver1d, "_block_steps", lambda m, N: K):
+    with mock.patch.object(solver1d, "_block_steps", lambda m, N, r=1, terms=1: K):
         yield
 
 
@@ -314,6 +346,24 @@ class TestBlockMarching:
             return None
 
         assert blowup_step(K) == blowup_step(1)
+
+    @pytest.mark.parametrize("matrix_state", [False, True])
+    def test_growth_inside_a_block_is_replayed(self, matrix_state):
+        # a nilpotent factor carries the state past the blowup limit at step
+        # 1 and back to zero at step 2, so the endpoint of a 2-step block
+        # is harmless and only the growth bound can send the block back to
+        # the stepwise path; in a matrix state the jump sits in R
+        jump = np.array([[0.0, 1e31], [0.0, 0.0]])
+        if matrix_state:
+            U0, factors = np.array([[0.0, 1.0], [0.0, 0.0]]), lambda: (np.eye(2), jump)
+            step = lambda U, f: U @ jump.T + f[0]
+        else:
+            U0, factors = np.array([0.0, 1.0]), None
+            step = lambda U, f: jump @ U + f[0]
+        terms = (solver1d._Term(ZERO, 0.0, (np.zeros_like(U0),)),)
+        with block_steps(2), pytest.raises(BlowupError) as err:
+            solver1d._march(step, U0, TimeGrid(1.0, 2), terms, factors=factors)
+        assert err.value.step == 1
 
     def test_block_path_only_where_dense_G_pays(self):
         # long runs on study grids march in blocks; wide grids with few

@@ -1,11 +1,20 @@
-"""ADI stepper: fixed point, reference values, symmetry, sweep plumbing."""
+"""ADI stepper: fixed point, reference values, symmetry, sweep plumbing,
+and the block marcher against the stepwise sweeps."""
+
+import contextlib
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
+from tempfrac import solver1d
 from tempfrac.calculus import TemperedParams
 from tempfrac.operators import Grid1D, TimeGrid, apply_compact, assemble_B, assemble_P
+from tempfrac.solver1d import BlowupError, SeparableSource
 from tempfrac.solver2d import ProblemSpec2D, _adi_march, solve_adi
 from tempfrac.verification import case_ex5_3, run_convergence_study
 
@@ -82,3 +91,125 @@ class TestSweepPlumbing:
             S = Fxy @ By_inv.T
             V = lu_solve(lu, (Bx + 0.5 * tau * Px) @ V + tau * S)
         assert U == pytest.approx(V, rel=1e-10, abs=1e-12)
+
+
+@contextlib.contextmanager
+def block_steps(K):
+    """March in blocks of K steps (1: stepwise; None: the solver's own choice)."""
+    if K is None:
+        yield
+        return
+    with mock.patch.object(solver1d, "_block_steps", lambda m, N, r=1, terms=1: K):
+        yield
+
+
+def random_spec2d(alpha, beta, lam_hx, lam_hy, Mx, My, N, u, p):
+    """Polynomial data vanishing on the boundary ring, a separable source
+    with the temporal factor cos t, and rates given as lam * h."""
+    gx, gy = Grid1D(0.0, 1.0, Mx), Grid1D(0.0, 1.0, My)
+    return ProblemSpec2D(
+        grid_x=gx, grid_y=gy, time=TimeGrid(0.1, N),
+        params_x=TemperedParams(alpha, lam_hx / gx.h),
+        params_y=TemperedParams(beta, lam_hy / gy.h),
+        initial=lambda X, Y: X * (1.0 - X) * Y * (1.0 - Y) * np.polyval(u, X - 2.0 * Y),
+        source=SeparableSource(lambda X, Y: np.polyval(p, X + 3.0 * Y * Y), math.cos),
+    )
+
+
+def polynomials(seed):
+    """Coefficients of two random cubics: the initial and the source factor."""
+    return np.random.default_rng(seed).standard_normal((2, 4))
+
+
+ORDERS = st.floats(1.01, 1.99)
+LAM_H = st.floats(0.0, 1.0)
+SIZES = st.integers(4, 40)
+# a coefficient below 1e-300 in size scales the data into the subnormal range,
+# where no relative bound holds in IEEE arithmetic
+COEFFICIENTS = st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-300)
+
+
+class TestBlockMarching:
+    @settings(max_examples=30, deadline=None)
+    @given(alpha=ORDERS, beta=ORDERS, lam_hx=LAM_H, lam_hy=LAM_H, Mx=SIZES, My=SIZES,
+           N=st.integers(1, 300), K=st.integers(2, 80), seed=st.integers(0, 2**16))
+    def test_blocks_equal_single_steps(self, alpha, beta, lam_hx, lam_hy, Mx, My, N, K, seed):
+        # covers N < K and N not a multiple of K
+        spec = random_spec2d(alpha, beta, lam_hx, lam_hy, Mx, My, N, *polynomials(seed))
+        with block_steps(1):
+            ref = solve_adi(spec).values
+        with block_steps(K):
+            got = solve_adi(spec).values
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("alpha,beta", [(1.2, 1.5), (1.5, 1.9)])
+    @pytest.mark.parametrize("M", [10, 20, 40])
+    def test_study_levels_match_the_sweeps(self, alpha, beta, M):
+        # the 2D order pairs of the paper's table at tau = h^1.5; the default
+        # block size applies
+        N = math.ceil(M**1.5)
+        spec = case_ex5_3(alpha, beta, 0.1, 0.1).build_spec(1.0 / M)(N)
+        assert solver1d._block_steps(M - 1, N, M - 1, 1) > 1
+        with block_steps(1):
+            ref = solve_adi(spec).values
+        got = solve_adi(spec).values
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("K", [3, None])
+    def test_zero_data_stays_exactly_zero(self, K):
+        spec = ProblemSpec2D(**{
+            **zero_spec2d(N=100).__dict__,
+            "source": SeparableSource(lambda X, Y: np.zeros_like(X), math.exp),
+        })
+        with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
+            with block_steps(K):
+                sol = solve_adi(spec)
+        assert blocks.call_count == 1
+        assert np.array_equal(sol.values, np.zeros((7, 7)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(K=st.sampled_from([1, 7, None]), a=COEFFICIENTS, b=COEFFICIENTS,
+           seed=st.integers(0, 2**16))
+    def test_solution_is_linear_in_initial_and_source(self, K, a, b, seed):
+        (u1, p1), (u2, p2) = polynomials(seed), polynomials(seed + 1)
+
+        def solve(u, p):
+            return solve_adi(random_spec2d(1.6, 1.3, 0.5, 0.2, 12, 9, 150, u, p)).values
+
+        with block_steps(K):
+            s1, s2 = solve(u1, p1), solve(u2, p2)
+            combined = solve(a * u1 + b * u2, a * p1 + b * p2)
+        scale = abs(a) * np.max(np.abs(s1)) + abs(b) * np.max(np.abs(s2))
+        assert np.max(np.abs(combined - (a * s1 + b * s2))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("K", [1, None])
+    def test_unstable_rate_blows_up_at_the_same_step(self, K):
+        # lam*h = 5 along both axes; step 34 is the stepwise sweeps' verdict
+        spec = case_ex5_3(1.9, 1.9, 50.0, 50.0).build_spec(0.1)(1000)
+        assert solver1d._block_steps(9, 1000, 9, 1) > 1
+        with block_steps(K), pytest.warns(RuntimeWarning, match="lam\\*h"):
+            with pytest.raises(BlowupError) as err:
+                solve_adi(spec)
+        assert err.value.step == 34
+
+
+class TestSymmetryOfRandomData:
+    @settings(max_examples=20, deadline=None)
+    @given(alpha=ORDERS, beta=ORDERS, lam_hx=LAM_H, lam_hy=LAM_H, Mx=SIZES, My=SIZES,
+           N=st.integers(1, 200), K=st.integers(2, 80), seed=st.integers(0, 2**16))
+    def test_swapping_directions_transposes_solution(self, alpha, beta, lam_hx, lam_hy,
+                                                     Mx, My, N, K, seed):
+        spec = random_spec2d(alpha, beta, lam_hx, lam_hy, Mx, My, N, *polynomials(seed))
+        src = spec.source
+        swapped = ProblemSpec2D(
+            grid_x=spec.grid_y, grid_y=spec.grid_x, time=spec.time,
+            params_x=spec.params_y, params_y=spec.params_x,
+            initial=lambda X, Y: spec.initial(Y, X),
+            source=SeparableSource(lambda X, Y: src.profile(Y, X), src.temporal),
+        )
+        with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
+            with block_steps(K):
+                sol = solve_adi(spec).values
+                sol_t = solve_adi(swapped).values
+        assert blocks.call_count == 2
+        assert np.max(np.abs(sol_t - sol.T)) <= 1e-12 * np.max(np.abs(sol))
