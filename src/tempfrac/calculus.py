@@ -58,8 +58,9 @@ class TemperedParams:
     """Order, tempering rate and diffusivity of one tempered diffusion operator.
 
     ``alpha`` must lie strictly in (1, 2) and ``lam``, ``diffusivity`` must be
-    nonnegative.  Use :meth:`for_testing` to build degenerate values (``alpha``
-    exactly 1 or 2) where closed forms remain valid; solvers reject those.
+    finite and nonnegative.  Use :meth:`for_testing` to build degenerate
+    values (``alpha`` exactly 1 or 2) where closed forms remain valid; solvers
+    reject those.
     """
 
     alpha: float
@@ -72,10 +73,10 @@ class TemperedParams:
         self._check_rest()
 
     def _check_rest(self):
-        if self.lam < 0.0:
-            raise ValueError(f"tempering rate must be >= 0, got {self.lam}")
-        if self.diffusivity < 0.0:
-            raise ValueError(f"diffusivity must be >= 0, got {self.diffusivity}")
+        if not 0.0 <= self.lam < math.inf:  # rejects NaN too
+            raise ValueError(f"tempering rate must be finite and >= 0, got {self.lam}")
+        if not 0.0 <= self.diffusivity < math.inf:
+            raise ValueError(f"diffusivity must be finite and >= 0, got {self.diffusivity}")
 
     @classmethod
     def for_testing(cls, alpha, lam, diffusivity=1.0):
@@ -207,8 +208,8 @@ def _tempered_weights_cached(params, h, n):
 
 def tempered_weights(params, h, n):
     """Weight table w_0..w_n for spacing h; cached per (params, h, n)."""
-    if h <= 0.0:
-        raise ValueError(f"spacing h must be > 0, got {h}")
+    if not 0.0 < h < math.inf:  # rejects NaN too
+        raise ValueError(f"spacing h must be finite and > 0, got {h}")
     if n < 2:
         raise ValueError(f"need at least three weights, got n={n}")
     return _tempered_weights_cached(params, float(h), int(n))

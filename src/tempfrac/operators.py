@@ -17,7 +17,11 @@ with three ingredients assembled here:
   :func:`P_column_row` computes P's first column and first row in O(M), and
   :func:`assemble_P` expands them into the dense matrix (the right-sided P is
   the transpose).  The solvers build each stage matrix, such as B - P, from
-  the same column and row.
+  the same column and row; :mod:`tempfrac.solver1d` expands it only below
+  600 unknowns or beyond lam*h = 1, and otherwise solves it by Levinson
+  generators and FFT products, because where lam*h <= 1 the symmetric part
+  of B is positive definite and that of P negative definite, so B - P has no
+  singular leading minor.
 * ``H``: the per-step vector collecting every stencil contribution that falls
   on the boundary nodes x_0 and x_M (trace values at both time levels plus
   boundary samples of the source).

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .calculus import w3_closed_form
 from .operators import Grid1D, assemble_B, assemble_P
@@ -100,14 +101,14 @@ def check_B_bounds(lam, h, M):
     """Spectrum of the symmetric part of B, which lies in (1/12, 2) for lam*h <= 1.
 
     The closed form  2/3 + (e^{-lam h} + e^{lam h})/6 * cos(j pi / M)  is
-    cross-checked against the direct eigen-solve to 1e-10 (a disagreement is
-    an eigen-solver fault and raises).  The containment itself is reported
-    through the extreme eigenvalues, which escape the bounds beyond the
-    lam*h <= 1 threshold.
+    cross-checked to 1e-10 against a tridiagonal eigen-solve of sym(B)'s two
+    bands (a disagreement is an eigen-solver fault and raises).  The
+    containment itself is reported through the extreme eigenvalues, which
+    escape the bounds beyond the lam*h <= 1 threshold.
     """
-    grid = Grid1D(0.0, M * h, M)
-    B = assemble_B("left", grid, lam).to_dense()
-    eigs = _sym_eigvals(B)
+    _check_dim(M - 1)
+    B = assemble_B("left", Grid1D(0.0, M * h, M), lam)
+    eigs = eigvalsh_tridiagonal(np.full(B.dim, B.diag), np.full(B.dim - 1, 0.5 * (B.sub + B.sup)))
     j = np.arange(1, M)
     closed = 2.0 / 3.0 + (math.exp(-lam * h) + math.exp(lam * h)) / 6.0 * np.cos(j * np.pi / M)
     scale = np.max(np.abs(closed))

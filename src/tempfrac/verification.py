@@ -204,6 +204,8 @@ def _bracket_2d(s, order, lam):
 def case_ex5_3(alpha, beta, lam1, lam2, T=1.0):
     """2D case with exact solution e^{-t - lam1 x - lam2 y} x^4 (1-x) y^4 (1-y)."""
     params_x = TemperedParams(alpha, lam1)
+    if not 1.0 < beta < 2.0:  # TemperedParams would name it alpha
+        raise ValueError(f"beta must lie in (1, 2), got {beta}")
     params_y = TemperedParams(beta, lam2)
 
     def exact(X, Y, t):

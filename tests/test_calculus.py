@@ -35,6 +35,15 @@ class TestTemperedParams:
         with pytest.raises(ValueError):
             TemperedParams(1.5, 0.0, diffusivity=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_rate_and_diffusivity(self, bad):
+        with pytest.raises(ValueError, match="tempering rate must be finite"):
+            TemperedParams(1.5, bad)
+        with pytest.raises(ValueError, match="diffusivity must be finite"):
+            TemperedParams(1.5, 0.0, diffusivity=bad)
+        with pytest.raises(ValueError, match="tempering rate must be finite"):
+            TemperedParams.for_testing(2.0, bad)
+
     def test_testing_constructor_accepts_boundary_orders(self):
         assert TemperedParams.for_testing(1.0, 0.0).alpha == 1.0
         assert TemperedParams.for_testing(2.0, 1.0).alpha == 2.0
@@ -119,6 +128,9 @@ class TestTemperedWeights:
             tempered_weights(p, 0.0, 10)
         with pytest.raises(ValueError):
             tempered_weights(p, 0.1, 1)
+        for h in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="spacing h must be finite"):
+                tempered_weights(p, h, 10)
 
     def test_leading_weight_value(self):
         # w_0 = mu_plus * e^{lam h}; independent evaluation of the recombination

@@ -35,6 +35,15 @@ class TestWeightsCommand:
         assert main(["weights", "--alpha", "2.5", "--lambda", "1", "--h", "0.1", "--n", "5"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--h", "nan"], ["--h", "inf"], ["--lambda", "nan"], ["--lambda", "inf"],
+    ])
+    def test_non_finite_input_exits_2(self, capsys, argv):
+        assert main(["weights", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "finite" in captured.err
+        assert captured.out == ""
+
     def test_csv_format(self, capsys):
         assert main(["weights", "--alpha", "1.2", "--lambda", "0.5", "--h", "0.1",
                      "--n", "4", "--format", "csv"]) == 0
@@ -67,6 +76,10 @@ class TestConvergeCommand:
     def test_invalid_alpha_exits_2(self, capsys):
         assert main(["converge", "--case", "ex5_1", "--alpha", "3.0"]) == 2
 
+    def test_invalid_beta_is_named(self, capsys):
+        assert main(["converge", "--case", "ex5_3", "--beta", "3"]) == 2
+        assert capsys.readouterr().err == "error: beta must lie in (1, 2), got 3.0\n"
+
     def test_deviating_rate_exits_1(self, capsys):
         # first-order temporal coupling destroys the spatial order on a
         # stable configuration, which the CI contract must flag
@@ -81,6 +94,10 @@ class TestConvergeCommand:
         ["--h", "0"],
         ["--h", "-0.1"],
         ["--h", "0.5"],  # two cells
+        ["--h", "0.2", "--lambda", "nan"],
+        ["--h", "0.2", "--lambda", "inf"],
+        ["--case", "ex5_3", "--h", "0.2", "--lambda", "nan"],
+        ["--case", "ex5_4", "--h", "0.2", "--lambda", "inf"],
     ])
     def test_usage_errors_exit_2(self, capsys, argv):
         assert main(["converge", "--levels", "2", *argv]) == 2
@@ -88,7 +105,9 @@ class TestConvergeCommand:
 
 
 class TestStabilityCommand:
-    @pytest.mark.parametrize("argv", [["--h", "0"], ["--h", "-0.1"], ["--h", "0.001"]])
+    @pytest.mark.parametrize("argv", [
+        ["--h", "0"], ["--h", "-0.1"], ["--h", "0.001"], ["--h", "nan"], ["--lambda", "nan"],
+    ])
     def test_usage_errors_exit_2(self, capsys, argv):
         # --h 0.001 asks for a 999-unknown eigen-solve, beyond the diagnostic cap
         assert main(["stability", *argv]) == 2

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, toeplitz
 
 from tempfrac import solver1d
 from tempfrac.calculus import TemperedParams
-from tempfrac.operators import Grid1D, TimeGrid, apply_compact, assemble_B, assemble_P
+from tempfrac.operators import Grid1D, TimeGrid, P_column_row, apply_compact, assemble_B, assemble_P
 from tempfrac.solver1d import (
     BlowupError,
     ProblemSpec1D,
@@ -456,3 +456,109 @@ class TestTwoSidedStep:
         want = lu_solve(lu_factor(Br - tau * Pl.T), Br @ star
                         + 0.5 * tau * apply_compact("right", lam, g.h, F))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def stage_matrices(alpha, lam_h, M, tau):
+    """Columns and rows of the 1D stage matrices with their maps: B - P and
+    B_r - tau P_l^T are solved, B_l + tau P_l is applied."""
+    grid = Grid1D(0.0, 1.0, M)
+    params = TemperedParams(alpha, lam_h / grid.h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        P_col, P_row = P_column_row(params, grid, tau, include_tau=False)
+    B_col, B_row = assemble_B("left", grid, params.lam).column_row()
+    return [
+        (B_col - tau * P_col, B_row - tau * P_row, True),
+        (B_col + tau * P_col, B_row + tau * P_row, False),
+        (B_row - tau * P_row, B_col - tau * P_col, True),
+    ]
+
+
+@contextlib.contextmanager
+def toeplitz_from(dim):
+    """Take the Toeplitz stage path from ``dim`` unknowns on."""
+    with mock.patch.object(solver1d, "_TOEPLITZ_DIM", dim):
+        yield
+
+
+class TestToeplitzStages:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(1.01, 1.99),
+        lam_h=st.floats(0.0, 1.0),
+        tau=st.floats(1e-6, 1e3),
+        M=st.integers(4, 900),
+        k=st.sampled_from([None, 1, 3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_fft_apply_and_solve_match_dense(self, alpha, lam_h, tau, M, k, seed):
+        shape = (M - 1,) if k is None else (M - 1, k)
+        b = np.random.default_rng(seed).standard_normal(shape)
+        for col, row, inverse in stage_matrices(alpha, lam_h, M, tau):
+            T = toeplitz(col, row)
+            with toeplitz_from(2), mock.patch.object(solver1d, "lu_factor",
+                                                     side_effect=AssertionError):
+                got = solver1d._toeplitz_map(col, row, lam_h)(b)
+            assert got.shape == shape
+            # an FFT product is accurate relative to ||T|| ||b||
+            scale = np.abs(T).sum(axis=1).max() * np.abs(b).max()
+            assert np.max(np.abs(got - T @ b)) <= 1e-13 * scale
+            if not inverse:
+                continue
+            with toeplitz_from(2), mock.patch.object(solver1d, "lu_factor",
+                                                     side_effect=AssertionError):
+                got = solver1d._toeplitz_map(col, row, lam_h, inverse=True)(b)
+            want = lu_solve(lu_factor(T), b)
+            assert got.shape == shape
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_size_and_regime_choose_the_path(self):
+        m = solver1d._TOEPLITZ_DIM
+        col, row, _ = stage_matrices(1.5, 1.0, m + 1, 0.1)[0]
+        with mock.patch.object(solver1d, "lu_factor", wraps=lu_factor) as lu:
+            solver1d._toeplitz_map(col, row, 1.0, inverse=True)
+            assert lu.call_count == 0
+            solver1d._toeplitz_map(col, row, 1.5, inverse=True)
+            assert lu.call_count == 1
+            col, row, _ = stage_matrices(1.5, 1.0, m, 0.1)[0]
+            solver1d._toeplitz_map(col, row, 1.0, inverse=True)
+            assert lu.call_count == 2
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        side=st.sampled_from(sorted(SOLVERS)),
+        alpha=st.floats(1.05, 1.95),
+        M=st.integers(5, 24),
+        N=st.integers(1, 200),
+        K=st.integers(2, 80),
+    )
+    def test_blocks_equal_single_steps_on_the_toeplitz_path(self, side, alpha, M, N, K):
+        spec = manufactured_spec(side, alpha, M, N)
+        with toeplitz_from(2), mock.patch.object(solver1d, "lu_factor", side_effect=AssertionError):
+            with block_steps(1):
+                ref = SOLVERS[side](spec).values
+            with block_steps(K):
+                got = SOLVERS[side](spec).values
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_unstable_rate_on_a_large_grid_takes_the_lu_path(self):
+        M = solver1d._TOEPLITZ_DIM + 1
+        spec = case_ex5_1(1.5, 1.5 * M, j=5).build_spec(1.0 / M)(2)
+        with mock.patch.object(solver1d, "solve_toeplitz", side_effect=AssertionError), \
+                mock.patch.object(solver1d, "lu_factor", wraps=lu_factor) as lu, \
+                pytest.warns(RuntimeWarning, match="lam\\*h = 1.5 > 1"):
+            solve_left(spec)
+        assert lu.call_count == 1
+
+    @pytest.mark.parametrize("case,side", [
+        (case_ex5_1(1.5, 1.0, j=5), "left"),
+        (case_ex5_2(1.5, 1.0, j=5), "right"),
+        (case_ex5_4(1.5, 0.1), "two_sided"),
+    ])
+    def test_large_grid_matches_the_lu_path(self, case, side):
+        spec = case.build_spec(1.0 / 1600)(16)
+        with mock.patch.object(solver1d, "lu_factor", side_effect=AssertionError):
+            got = SOLVERS[side](spec).values
+        with toeplitz_from(10**9):
+            want = SOLVERS[side](spec).values
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))

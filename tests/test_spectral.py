@@ -1,12 +1,16 @@
 """Stability diagnostics: definiteness, spectrum bounds, splitting, predicate."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
 from tempfrac.calculus import TemperedParams, w3_closed_form
-from tempfrac.operators import Grid1D, P_column_row, assemble_P
+from tempfrac import spectral
+from tempfrac.operators import Grid1D, P_column_row, assemble_B, assemble_P
 from tempfrac.spectral import (
     RegimeError,
     check_B_bounds,
@@ -75,6 +79,29 @@ class TestBBounds:
         assert rep.eig_min > 1 / 12
         assert rep.eig_max < 2.0
         assert rep.verdict == "positive-definite"
+
+    @settings(max_examples=30, deadline=None)
+    @given(lam_h=st.floats(0.0, 5.0), M=st.integers(4, 400))
+    def test_tridiagonal_spectrum_matches_dense_solve(self, lam_h, M):
+        g, lam = grid_for(lam_h, M)
+        found = []
+
+        def recorded(*args):
+            found.append(eigvalsh_tridiagonal(*args))
+            return found[-1]
+
+        with mock.patch.object(spectral, "eigvalsh_tridiagonal", side_effect=recorded):
+            rep = check_B_bounds(lam, g.h, M)
+        B = assemble_B("left", g, lam).to_dense()
+        dense = np.linalg.eigvalsh(0.5 * (B + B.T))
+        assert np.max(np.abs(found[0] - dense)) <= 1e-12 * np.max(np.abs(dense))
+        assert (rep.eig_min, rep.eig_max) == (found[0][0], found[0][-1])
+
+    def test_disagreeing_eigen_solve_raises(self):
+        shifted = lambda d, e: eigvalsh_tridiagonal(d, e) + 1e-9
+        with mock.patch.object(spectral, "eigvalsh_tridiagonal", side_effect=shifted), \
+                pytest.raises(RuntimeError, match="disagrees"):
+            check_B_bounds(1.0, 0.1, 10)
 
 
 class TestHPlusSplit:
