@@ -35,8 +35,8 @@ for alpha in (1.1, 1.5, 1.9):
         grid = Grid1D(0.0, 1.0, 40)
         rep = check_P_definiteness(TemperedParams(alpha, lam_h / grid.h), grid, tau=1.0)
         print(
-            f"order {alpha}, lam*h = {lam_h}: sym(P) spectrum "
-            f"[{rep.eig_min:.3e}, {rep.eig_max:.3e}] -> {rep.verdict}"
+            f"order {alpha}, lam*h = {lam_h}: sym(P) spectrum within "
+            f"[{rep.eig_min:.3e}, {rep.eig_max:.3e}] -> {rep.verdict} ({rep.rung})"
         )
 print()
 

@@ -106,10 +106,9 @@ class TestConvergeCommand:
 
 class TestStabilityCommand:
     @pytest.mark.parametrize("argv", [
-        ["--h", "0"], ["--h", "-0.1"], ["--h", "0.001"], ["--h", "nan"], ["--lambda", "nan"],
+        ["--h", "0"], ["--h", "-0.1"], ["--h", "nan"], ["--lambda", "nan"], ["--M", "3"],
     ])
     def test_usage_errors_exit_2(self, capsys, argv):
-        # --h 0.001 asks for a 999-unknown eigen-solve, beyond the diagnostic cap
         assert main(["stability", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
@@ -125,6 +124,16 @@ class TestStabilityCommand:
         out = capsys.readouterr().out
         assert "STABLE" in out
         assert "negative-definite" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--h", "0.001"], ["--alpha", "1.9", "--lambda", "0", "--h", "0.0001"],
+    ])
+    def test_large_grid_certified(self, capsys, argv):
+        # 999 and 9,999 unknowns: certified from the symbol, no eigen-solve
+        assert main(["stability", *argv]) == 0
+        out = capsys.readouterr().out
+        assert "(lambda*h <= 1): STABLE" in out
+        assert "-> negative-definite" in out
 
     def test_splitting_regime_reported(self, capsys):
         main(["stability", "--alpha", "1.9", "--lambda", "0", "--h", "0.05"])

@@ -1,12 +1,14 @@
 """Stability diagnostics: definiteness, spectrum bounds, splitting, predicate."""
 
+import dataclasses
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal, toeplitz
 
 from tempfrac.calculus import TemperedParams, w3_closed_form
 from tempfrac import spectral
@@ -27,6 +29,31 @@ def grid_for(lam_h, M, lam=None):
     g = Grid1D(0.0, 1.0, M)
     rate = lam_h / g.h if lam is None else lam
     return g, rate
+
+
+def dense_sym_P(params, grid, tau):
+    """The oracle: sym(P) assembled densely, and its eigenvalues."""
+    P = assemble_P("left", params, grid, tau)
+    sym = 0.5 * (P + P.T)
+    return sym, np.linalg.eigvalsh(sym)
+
+
+def dense_compensated(params, grid, tau):
+    """Diagonal and off-diagonal row sums of sym(P)/(K tau) + H_plus, written out densely.
+
+    H_plus is the pentadiagonal compensator where w_3 < 0, else None.
+    """
+    sym, _ = dense_sym_P(params, grid, tau)
+    combined = sym / (params.diffusivity * tau)
+    w3 = w3_closed_form(params.alpha, params.lam, grid.h)
+    if w3 < 0.0:
+        h_c = -w3 / (2.0 * grid.h**params.alpha)
+        for k, band in ((0, 6.0 * h_c), (1, -4.0 * h_c), (2, h_c)):
+            combined += np.diag(np.full(grid.M - 1 - k, band), k)
+            if k:
+                combined += np.diag(np.full(grid.M - 1 - k, band), -k)
+    diag = np.diag(combined)
+    return w3, diag, np.sum(np.abs(combined), axis=1) - np.abs(diag)
 
 
 class TestPDefiniteness:
@@ -61,9 +88,81 @@ class TestPDefiniteness:
         assert np.allclose(Pl + Pl.T, Pr + Pr.T)
 
     def test_dimension_cap(self):
+        # the cap binds only the dense rung: a 499-unknown sym(P) is certified
+        # from its symbol, agreeing with the oracle
         params = TemperedParams(1.5, 0.0)
-        with pytest.raises(ValueError, match="capped"):
-            check_P_definiteness(params, Grid1D(0.0, 1.0, 500), tau=1.0)
+        g = Grid1D(0.0, 1.0, 500)
+        rep = check_P_definiteness(params, g, tau=1.0)
+        _, eigs = dense_sym_P(params, g, 1.0)
+        assert (rep.rung, rep.verdict) == ("symbol", "negative-definite")
+        assert rep.eig_min <= eigs[0] and eigs[-1] <= rep.eig_max < 0.0
+        # with the first two rungs forced undecided it reaches the dense rung,
+        # which runs up to 399 unknowns and raises beyond
+        real = spectral._symbol_bracket
+        undecided = lambda c, n: dataclasses.replace(real(c, n), hi=1.0)
+        with mock.patch.object(spectral, "_symbol_bracket", side_effect=undecided), \
+                mock.patch.object(spectral, "_compensated_rows",
+                                  return_value=(0.0, np.zeros(1))):
+            with pytest.raises(ValueError, match="capped"):
+                check_P_definiteness(params, g, tau=1.0)
+            small = Grid1D(0.0, 1.0, 400)
+            rep = check_P_definiteness(params, small, tau=1.0)
+        _, eigs = dense_sym_P(params, small, 1.0)
+        assert rep.rung == "dense"
+        assert (rep.eig_min, rep.eig_max) == (eigs[0], eigs[-1])
+        assert rep.verdict == "negative-definite"
+
+    @pytest.mark.parametrize("alpha", [1.95, 1.99])
+    def test_gershgorin_rung_where_bracket_reaches_zero(self, alpha):
+        # steep orders at lam = 0: the symbol's maximum, -0.049 and -0.010,
+        # lies within the sampling slack of zero, and the compensated
+        # Gershgorin bound proves negative definiteness instead
+        params = TemperedParams(alpha, 0.0)
+        g = Grid1D(0.0, 1.0, 400)
+        col, row = P_column_row(params, g, 1.0)
+        bracket = spectral._symbol_bracket(0.5 * (col + row), spectral._OVERSAMPLE * 399)
+        assert bracket.samples.max() < 0.0 < bracket.hi
+        rep = check_P_definiteness(params, g, tau=1.0)
+        _, eigs = dense_sym_P(params, g, 1.0)
+        assert (rep.rung, rep.verdict) == ("gershgorin", "negative-definite")
+        assert eigs[-1] <= rep.eig_max < 0.0
+
+    def test_large_grid_certified(self):
+        # beyond any dense eigen-solve: M = 10,000, where w_3 < 0
+        rep = check_P_definiteness(TemperedParams(1.9, 0.0), Grid1D(0.0, 1.0, 10_000), tau=1.0)
+        assert rep.dim == 9999
+        assert rep.verdict == "negative-definite"
+
+    def test_warns_beyond_threshold(self):
+        g = Grid1D(0.0, 1.0, 40)
+        with pytest.warns(RuntimeWarning, match="lam\\*h"):
+            check_P_definiteness(TemperedParams(1.5, 5.0 / g.h), g, tau=1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(1.01, 1.99),
+        lam_h=st.floats(0.0, 5.0),
+        M=st.integers(4, 401),
+        tau=st.floats(1e-3, 1.0),
+    )
+    def test_certificate_agrees_with_dense_oracle(self, alpha, lam_h, M, tau):
+        g, rate = grid_for(lam_h, M)
+        params = TemperedParams(alpha, rate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rep = check_P_definiteness(params, g, tau)
+            col, row = P_column_row(params, g, tau)
+            _, eigs = dense_sym_P(params, g, tau)
+        slack = 1e-12 * np.max(np.abs(eigs))  # eigen-solver round-off
+        assert rep.verdict == spectral._classify(eigs[0], eigs[-1])
+        assert rep.eig_min - slack <= eigs[0] and eigs[-1] <= rep.eig_max + slack
+        if rep.rung == "dense":
+            assert (rep.eig_min, rep.eig_max) == (eigs[0], eigs[-1])
+        bracket = spectral._symbol_bracket(0.5 * (col + row), spectral._OVERSAMPLE * (M - 1))
+        assert bracket.lo - slack <= eigs[0] and eigs[-1] <= bracket.hi + slack
+        r_lo, r_hi, _ = bracket.witnesses()
+        assert eigs[0] - slack <= r_lo <= eigs[-1] + slack
+        assert eigs[0] - slack <= r_hi <= eigs[-1] + slack
 
 
 class TestBBounds:
@@ -86,22 +185,30 @@ class TestBBounds:
         g, lam = grid_for(lam_h, M)
         found = []
 
-        def recorded(*args):
-            found.append(eigvalsh_tridiagonal(*args))
+        def recorded(*args, **kwargs):
+            found.append(eigvalsh_tridiagonal(*args, **kwargs))
             return found[-1]
 
         with mock.patch.object(spectral, "eigvalsh_tridiagonal", side_effect=recorded):
             rep = check_B_bounds(lam, g.h, M)
         B = assemble_B("left", g, lam).to_dense()
         dense = np.linalg.eigvalsh(0.5 * (B + B.T))
-        assert np.max(np.abs(found[0] - dense)) <= 1e-12 * np.max(np.abs(dense))
-        assert (rep.eig_min, rep.eig_max) == (found[0][0], found[0][-1])
+        extremes = np.array([dense[0], dense[-1]])
+        assert [len(f) for f in found] == [1, 1]  # only the two extremes are computed
+        got = np.array([found[0][0], found[1][0]])
+        assert np.max(np.abs(got - extremes)) <= 1e-12 * np.max(np.abs(dense))
+        assert (rep.eig_min, rep.eig_max) == tuple(got)
 
     def test_disagreeing_eigen_solve_raises(self):
-        shifted = lambda d, e: eigvalsh_tridiagonal(d, e) + 1e-9
+        shifted = lambda *args, **kwargs: eigvalsh_tridiagonal(*args, **kwargs) + 1e-9
         with mock.patch.object(spectral, "eigvalsh_tridiagonal", side_effect=shifted), \
                 pytest.raises(RuntimeError, match="disagrees"):
             check_B_bounds(1.0, 0.1, 10)
+
+    def test_no_dimension_cap(self):
+        rep = check_B_bounds(1.0, 1e-4, 10_000)
+        assert rep.dim == 9999
+        assert 1.0 / 12.0 < rep.eig_min < rep.eig_max < 2.0
 
 
 class TestHPlusSplit:
@@ -135,6 +242,37 @@ class TestHPlusSplit:
         lhs = np.linalg.eigvalsh(H).max()
         rhs = np.linalg.eigvalsh(H + split.matrix).max() + np.linalg.eigvalsh(-split.matrix).max()
         assert lhs <= rhs + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(1.01, 1.99),
+        lam_h=st.floats(0.0, 5.0),
+        M=st.integers(4, 401),
+        tau=st.floats(1e-3, 1.0),
+    )
+    def test_prefix_sum_dominance_matches_dense(self, alpha, lam_h, M, tau):
+        g, rate = grid_for(lam_h, M)
+        params = TemperedParams(alpha, rate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            w3, diag, off = dense_compensated(params, g, tau)
+            col, row = P_column_row(params, g, tau)
+            try:
+                hplus_split(params, g, tau)
+                outcome = "ok"
+            except RegimeError:
+                outcome = "regime"
+            except RuntimeError:
+                outcome = "fails"
+        bands = spectral._compensator_bands(params, g.h) if w3 < 0.0 else 0.0
+        got_diag, got_off = spectral._compensated_rows(0.5 * (col + row) / tau, bands)
+        scale = np.max(np.abs(diag))
+        assert np.all(np.abs(got_diag - diag) <= 1e-12 * scale)
+        assert np.max(np.abs(got_off - off)) <= 1e-12 * scale
+        margin = np.min(-diag - off)
+        assume(abs(margin) > 1e-9 * scale)  # a near-tie is decided by round-off
+        dense = "regime" if w3 >= 0.0 else ("ok" if margin > 0.0 else "fails")
+        assert outcome == dense
 
 
 class TestSignRoot:
@@ -185,16 +323,33 @@ class TestGeneratingFunction:
     )
     def test_weyl_bracket_of_sym_P(self, alpha, lam_h, M, tau):
         # sym(P) is the Toeplitz section of the cosine series built from P's
-        # column and row, so its spectrum lies inside that series' range
+        # column and row, so the oracle's spectrum lies inside that series' range
         g, rate = grid_for(lam_h, M)
         params = TemperedParams(alpha, rate)
-        rep = check_P_definiteness(params, g, tau)
         col, row = P_column_row(params, g, tau)
-        sym = 0.5 * (col + row)
-        fmin, fmax = generating_function_range(sym, sym)
-        slack = 1e-12 * max(abs(fmin), abs(fmax))  # eigen-solver round-off
-        assert fmin - slack <= rep.eig_min
-        assert rep.eig_max <= fmax + slack
+        _, eigs = dense_sym_P(params, g, tau)
+        fmin, fmax = generating_function_range(col, row)
+        slack = 1e-12 * np.max(np.abs(eigs))  # eigen-solver round-off
+        assert fmin - slack <= eigs[0]
+        assert eigs[-1] <= fmax + slack
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        c=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=40),
+        n_samples=st.integers(2, 64),
+    )
+    def test_bracket_encloses_symbol_between_samples(self, c, n_samples):
+        # a coarse FFT grid misses the extremes of the cosine series; the
+        # slack must cover them
+        c = np.array(c)
+        theta = np.linspace(0.0, np.pi, 20_001)
+        k = np.arange(1, len(c))
+        f = c[0] + 2.0 * np.cos(np.outer(theta, k)) @ c[1:]
+        fmin, fmax = generating_function_range(c, c, n_samples=n_samples)
+        # round-off of the reference sum, relative and, in underflow, absolute
+        pad = 1e-13 * np.sum(np.abs(c)) + len(c) * np.finfo(float).smallest_subnormal
+        assert fmin <= f.min() + pad
+        assert f.max() - pad <= fmax
 
     def test_corner_mismatch_rejected(self):
         with pytest.raises(ValueError):
