@@ -24,7 +24,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy import integrate
 
 from .calculus import _check_side
 
@@ -50,6 +49,9 @@ def _kernel_integral(u, lo, hi, expo, lam_sign_exp, tol):
     """
     if hi <= lo:
         return 0.0
+    # imported here: scipy.integrate pulls in scipy.optimize, some 0.3 s of
+    # every start-up that never reaches a quadrature
+    from scipy import integrate
 
     def f(s):
         return math.exp(lam_sign_exp * s) * u(s)

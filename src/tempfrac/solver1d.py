@@ -36,12 +36,18 @@ O(m^2), no dense matrix).  All of them act column by column on matrices.
 One marcher then takes one of two paths:
 
 * stepwise: the stages of the scheme, one step at a time.  This is the
-  reference path, and the only one for plain-callable sources, stored
-  histories and runs too short for dense factors to pay;
+  reference path, and the only one for runs too short for a dense G to pay,
+  for the Levinson + FFT stages (whose O(m log m) step beats a product with
+  a dense G) and for 2D runs with a plain-callable source;
 * block: K steps at once on an (m, r) state, U <- L^K U (R^K)^T + W g, with
   the powers and the terms L^j D (R^j)^T of W precomputed and g holding the
   K temporal samples of each term.  A vector state is the case r = 1,
-  R = [[1]], L = G.
+  R = [[1]], L = G.  A 1D run with a stored history or a plain-callable
+  source marches in blocks of one step, U <- G U + d_n, one matrix-vector
+  product a step: the source is still called once per step, and the fields
+  of a chunk of steps reach their d_n through one product with the forcing
+  map step(0, stencil(I)), formed once like G.  The history is written in
+  place, row by row.
 
 Any non-finite value, or a sup-norm beyond 1e30, aborts with
 :class:`BlowupError` carrying the failing step index; that is the diagnostic
@@ -124,7 +130,8 @@ class ProblemSpec1D:
     ``initial`` maps x to u(x, 0); ``boundary_left`` / ``boundary_right`` map
     t to the traces at x = a and x = b; ``source`` maps (x, t) to f and must
     accept a vector of nodes.  A :class:`SeparableSource` lets long runs march
-    in blocks of steps; a plain callable is evaluated once per step.
+    in blocks of steps; a plain callable is evaluated once per step, and a
+    long run with it still steps on the compiled G, one product a step.
     ``side`` selects the scheme.
     """
 
@@ -192,12 +199,14 @@ class _Term:
     """One forcing term of step n, taken at t = (n + shift) * tau.
 
     With ``vectors`` (one per stage of the step) ``fn(t)`` is their scalar
-    factor; without, ``fn(t)`` returns the per-stage vectors itself.
+    factor; without, ``fn(t)`` is a nodal field and ``stencil`` maps it, or
+    nodal fields stacked column by column, to the per-stage vectors.
     """
 
     fn: Callable
     shift: float
     vectors: Optional[tuple] = None
+    stencil: Optional[Callable] = None
 
 
 def _source_term(source, space, shift, stencil):
@@ -206,7 +215,7 @@ def _source_term(source, space, shift, stencil):
     if isinstance(source, SeparableSource):
         profile = np.asarray(source.profile(*space), dtype=float)
         return _Term(source.temporal, shift, stencil(profile))
-    return _Term(lambda t: stencil(np.asarray(source(*space, t), dtype=float)), shift)
+    return _Term(lambda t: np.asarray(source(*space, t), dtype=float), shift, stencil=stencil)
 
 
 def _block_steps(m, N, r=1, terms=1):
@@ -232,17 +241,25 @@ def _block_steps(m, N, r=1, terms=1):
     return K
 
 
-def _march(step, U, time, terms, store_history=False, factors=None):
-    """Run ``U <- step(U, forcing of step n)`` for the N steps of ``time``.
+def _march(step, stages, U, time, terms, history=None, factors=None, toeplitz_stages=False):
+    """Run ``U <- step(U, forcing of step n)`` for the N steps of ``time``;
+    returns the final state.
 
-    ``step`` is linear in (U, forcing); the forcing of each stage is the sum
-    of ``terms`` at step n.  The state is an (m, r) matrix U and a step is
-    U <- L U R^T + f_n with constant factors ``factors() = (L, R)``; a
+    ``step`` is linear in (U, forcing), where the forcing is a list with one
+    entry per stage (``stages`` of them); the forcing of each stage is the
+    sum of ``terms`` at step n.  The state is an (m, r) matrix U and a step
+    is U <- L U R^T + f_n with constant factors ``factors() = (L, R)``; a
     vector U is the case r = 1, whose factors default to L = step(I, 0)
-    (``step`` must then map a matrix column by column) and R = [[1]].  A run
-    whose terms are all scalar-times-vector may take the block path.
-    Returns the final state and, with ``store_history``, the list of every
-    state.
+    (``step`` must then map a matrix column by column) and R = [[1]].
+    Row n of ``history``, an (N + 1, m) array when given, receives the
+    state after n steps.
+
+    Where the price of _block_steps says a dense L pays, a run whose terms
+    are all scalar-times-vector marches in blocks of steps; a vector state
+    with a general term or a history marches in blocks of one step, each a
+    product with L = G.  ``toeplitz_stages`` marks steps served through
+    their Toeplitz structure (see _toeplitz_map): their O(m log m) solves
+    beat any dense G, so those runs always take the stages.
     """
     N, tau = time.N, time.tau
     scalar = [term for term in terms if term.vectors is not None]
@@ -250,36 +267,54 @@ def _march(step, U, time, terms, store_history=False, factors=None):
     # samples[n, k]: factor of scalar term k at step n; per_stage[i][k]: its
     # vector in stage i
     samples = _sample(scalar, N, tau)
-    per_stage = list(zip(*(term.vectors for term in scalar)))
+    per_stage = [[term.vectors[i] for term in scalar] for i in range(stages)]
     live = samples.any(axis=1)  # steps where some scalar term is nonzero
-    history = [U] if store_history else None
+    if history is not None:
+        history[0] = U
 
     def forcing(n):
-        parts = [term.fn((n + term.shift) * tau) for term in general]
+        parts = [term.stencil(term.fn((n + term.shift) * tau)) for term in general]
         if live[n]:
             parts.append([sum(c * v for c, v in zip(samples[n], vectors) if c)
                           for vectors in per_stage])
         if not parts:
-            return [0.0] * len(per_stage)
-        return [functools.reduce(operator.add, stage) for stage in zip(*parts)]
+            return [0.0] * stages
+        return [functools.reduce(operator.add, stage) for stage in zip(*parts, strict=True)]
 
     def stepwise(U, start, stop):
         for n in range(start, stop):
             U = step(U, forcing(n))
             _check_finite(U, n + 1)
             if history is not None:
-                history.append(U)
+                history[n + 1] = U
         return U
 
-    K = 1
-    if not general and not store_history:
-        m, r = U.reshape(len(U), -1).shape
-        K = _block_steps(m, N, r, len(scalar))
-    if K == 1:
-        return stepwise(U, 0, N), history
+    m, r = U.reshape(len(U), -1).shape
+    K = 1 if toeplitz_stages else _block_steps(m, N, r, len(scalar))
+    if K == 1 or (general and U.ndim > 1):
+        return stepwise(U, 0, N)
     if factors is None:
-        factors = lambda: (step(np.eye(len(U)), [0.0] * len(per_stage)), np.ones((1, 1)))
-    return _march_blocks(step, U, samples, per_stage, factors, K, stepwise), None
+        factors = lambda: (step(np.eye(m), [0.0] * stages), np.ones((1, 1)))
+    if general or history is not None:
+        K = 1  # every state is recorded, or the forcing is not scalar-times-vector
+    # the forcing map of each general term, step(0, stencil(I)), is formed
+    # once like G, transposed; a nodal field has one more value at each end
+    # than the state
+    maps = [step(np.zeros((m, m + 2)), term.stencil(np.eye(m + 2))).T for term in general]
+
+    def general_forcing(start, stop):
+        # one row a step: each term's nodal fields stacked as rows, one
+        # product with its map
+        return sum(np.array([term.fn((n + term.shift) * tau) for n in range(start, stop)]) @ mapT
+                   for term, mapT in zip(general, maps))
+
+    # a chunk of fields stays below 2^19 multiply-adds in its product, up to
+    # which OpenBLAS keeps a product on one thread: on 2 cores shared with
+    # other load, a threaded 64-row product between the steps waited some
+    # 2.5 ms for its second thread, against 0.2 ms for the whole product
+    chunk = max(1, min(_BLOCK, 2**19 // (m * (m + 2))))
+    return _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history,
+                         general_forcing if general else None, chunk)
 
 
 def _sample(terms, N, tau):
@@ -305,20 +340,26 @@ def _sample(terms, N, tau):
     return samples
 
 
-def _march_blocks(step, U, samples, per_stage, factors, K, stepwise):
+def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, general, chunk):
     """Blocks of K steps, then one block of the N mod K steps left over.
 
     With (L, R) = factors() a step maps the (m, r) state U to
     L U R^T + sum_t c_t D_t, where D_t = step(0, vectors of term t).  A block
     of k steps maps U to L^k U (R^k)^T + sum_j g_j W_j, where
     g = samples[n:n+k].ravel() and W_j for term t at step i of the block is
-    L^(k-1-i) D_t (R^(k-1-i))^T.
+    L^(k-1-i) D_t (R^(k-1-i))^T.  Blocks of one step have their forcing
+    formed ``chunk`` at a time, to which ``general(start, stop)`` adds that
+    of the general terms of those steps, one row a step; row n + 1 of
+    ``history`` receives the state after step n.
     """
     N, T = samples.shape
     shape = U.shape
+    vector = U.ndim == 1
     L, R = factors()
     m, r = len(L), len(R)
-    if U.ndim == 1:  # a vector step maps a matrix column by column: one call for all terms
+    if not T:
+        D = np.zeros((m, 0, r))
+    elif vector:  # a vector step maps a matrix column by column: one call for all terms
         D = step(np.zeros((m, T)), [np.column_stack(v) for v in per_stage])[:, :, None]
     else:
         D = np.stack([step(np.zeros(shape), list(v)) for v in zip(*per_stage)], axis=1)
@@ -342,7 +383,6 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise):
     # the forcing stack of a block of k steps is the tail of the longest one
     W = _forcing_stack(powers, D, min(K, N))
     n = 0
-    U = U.reshape(m, r)
     u_norm = abs(U).max()
     for k in (K, N % K):
         if k == 0 or n + k > N:
@@ -350,20 +390,31 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise):
         Lk, Rk = _block_power(powers, k)
         RkT, Wk = Rk.T, W[:, W.shape[1] - k * T:]
         blocks = (N - n) // k
-        bounds = forcing_bound[n:n + blocks * k].reshape(blocks, k).sum(axis=1)
-        for block_bound in bounds.tolist():
-            accepted = False
-            if gamma * (u_norm + block_bound) <= _BLOCK_LIMIT:
-                V = Lk @ U @ RkT + (Wk @ samples[n:n + k].ravel()).reshape(m, r)
-                v_norm = abs(V).max()
-                accepted = v_norm <= _BLOCK_LIMIT
-            if accepted:
-                U, u_norm = V, v_norm
-            else:
-                U = stepwise(U.reshape(shape), n, n + k).reshape(m, r)
-                u_norm = abs(U).max()
-            n += k
-    return U.reshape(shape)
+        bounds = forcing_bound[n:n + blocks * k].reshape(blocks, k).sum(axis=1).tolist()
+        size = chunk if k == 1 else 1  # blocks whose forcing is formed at once
+        for first in range(0, blocks, size):
+            block_bounds = bounds[first:first + size]
+            c = len(block_bounds)
+            F = samples[n:n + c * k].reshape(c, k * T) @ Wk.T
+            if general is not None:
+                fields = general(n, n + c)
+                F += fields
+                block_bounds = (np.abs(fields).max(axis=1) + block_bounds).tolist()
+            for f, block_bound in zip(F.reshape(c, *shape), block_bounds):
+                accepted = False
+                if gamma * (u_norm + block_bound) <= _BLOCK_LIMIT:
+                    V = (Lk @ U if vector else Lk @ U @ RkT) + f
+                    v_norm = abs(V).max()
+                    accepted = v_norm <= _BLOCK_LIMIT
+                if accepted:
+                    U, u_norm = V, v_norm
+                    if history is not None:
+                        history[n + k] = U
+                else:
+                    U = stepwise(U, n, n + k)
+                    u_norm = abs(U).max()
+                n += k
+    return U
 
 
 def _block_power(powers, k):
@@ -401,22 +452,31 @@ def _forcing_stack(powers, D, k):
 
 
 def _solve(spec, stages, terms, store_history):
-    tau = spec.time.tau
-    U0 = np.asarray(spec.initial(spec.grid.interior()), dtype=float)
-    U, history = _march(functools.partial(_apply_stages, stages), U0, spec.time, terms, store_history)
-    if store_history:
-        states, history = history, np.empty((len(history), spec.grid.M + 1))
-        for n, V in enumerate(states):  # row by row: no second copy of the run
-            history[n] = _with_boundaries(spec, V, n * tau)
-    values = _with_boundaries(spec, U, spec.time.T)
-    return Solution1D(grid=spec.grid, time=spec.time, values=values, history=history)
+    grid, time = spec.grid, spec.time
+    U0 = np.asarray(spec.initial(grid.interior()), dtype=float)
+    history = None
+    if store_history:  # the march fills the interior columns in place
+        history = np.empty((time.N + 1, grid.M + 1))
+        for column, trace in ((0, spec.boundary_left), (-1, spec.boundary_right)):
+            history[:, column] = [trace(n * time.tau) for n in range(time.N + 1)]
+    U = _march(functools.partial(_apply_stages, stages), len(stages), U0, time, terms,
+               None if history is None else history[:, 1:-1],
+               toeplitz_stages=_toeplitz_stages(grid.M - 1, spec.params.lam * grid.h))
+    values = _with_boundaries(spec, U, time.T)
+    return Solution1D(grid=grid, time=time, values=values, history=history)
 
 
 def _apply_stages(stages, U, forcing):
     """One scheme step: U <- solve(apply(U) + f) for each stage (solve, apply)."""
-    for (solve, apply), f in zip(stages, forcing):
+    for (solve, apply), f in zip(stages, forcing, strict=True):
         U = solve(apply(U) + f)
     return U
+
+
+def _toeplitz_stages(m, lam_h):
+    """Whether stage matrices of dimension m are served through their
+    Toeplitz structure (see _toeplitz_map) rather than expanded."""
+    return m >= _TOEPLITZ_DIM and lam_h <= 1.0
 
 
 def _toeplitz_map(col, row, lam_h, inverse=False):
@@ -441,7 +501,7 @@ def _toeplitz_map(col, row, lam_h, inverse=False):
     2e-15.
     """
     m = len(col)
-    if m < _TOEPLITZ_DIM or lam_h > 1.0:
+    if not _toeplitz_stages(m, lam_h):
         if not inverse:
             return toeplitz(col, row).dot
         lu = lu_factor(toeplitz(row, col).T, overwrite_a=True)

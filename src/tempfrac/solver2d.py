@@ -22,7 +22,10 @@ D = tau (B_x - tau/2 P_x)^{-1} S (B_y - tau/2 P_y)^{-T}.  The marcher of
 :mod:`tempfrac.solver1d` takes it in blocks of steps,
 U <- L^K U (R^K)^T + sum_j g_j L^j D (R^j)^T.  A run with a plain-callable
 source, and any block whose growth bound comes near the blowup limit, goes
-through the two LU sweeps one step at a time.
+through the two LU sweeps one step at a time.  The march runs on one BLAS
+thread (see :mod:`tempfrac._blas`): it alternates SciPy's factors and
+solves with NumPy's products, whose two OpenBLAS pools otherwise contend
+for the cores.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
+from ._blas import single_thread
 from .calculus import TemperedParams
 from .operators import Grid1D, TimeGrid, apply_compact, assemble_B, assemble_P
 from .solver1d import _march, _source_term
@@ -77,6 +81,7 @@ def _initial_surface(spec):
     return X, Y, np.asarray(spec.initial(X, Y), dtype=float)
 
 
+@single_thread()
 def _adi_march(spec, Bx, Px, By, Py, surface=None):
     """Compile the sweeps and march; matrices are injectable so tests can zero a direction.
 
@@ -103,9 +108,8 @@ def _adi_march(spec, Bx, Px, By, Py, surface=None):
         return (tau * apply_compact("left", spec.params_y.lam, gy.h, S.T).T,)
 
     X, Y, U0 = surface or _initial_surface(spec)
-    U, _ = _march(step, U0[1:-1, 1:-1], spec.time,
+    return _march(step, 1, U0[1:-1, 1:-1], spec.time,
                   (_source_term(spec.source, (X, Y), 0.5, compact),), factors=factors)
-    return U
 
 
 def solve_adi(spec):

@@ -1,10 +1,15 @@
 """Quadrature evaluators against closed forms and the composition identities."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tempfrac
 from tempfrac.calculus import TemperedParams, exact_power_derivative
 from tempfrac.oracle import (
     OracleConvergenceError,
@@ -176,3 +181,18 @@ class TestFailureSignals:
         p = TemperedParams(1.5, 0.0)
         with pytest.raises(ValueError):
             tempered_derivative("left", 3.5, p, 0.0, math.sin, 0.5)
+
+
+class TestStartUp:
+    def test_import_leaves_quadrature_unloaded(self):
+        # scipy.integrate (and with it scipy.optimize) is loaded by the first
+        # quadrature, not by every start-up of the package or the CLI
+        src = str(pathlib.Path(tempfrac.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        probe = "import sys, tempfrac; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}, check=True)
+        assert out.stdout.split() == ["False"]
+        # the first quadrature still finds it
+        assert tempered_integral("left", 1.0, TemperedParams(1.5, 0.5), 0.0, lambda s: 1.0,
+                                 0.5) == pytest.approx((1.0 - math.exp(-0.25)) / 0.5, rel=1e-10)

@@ -264,6 +264,12 @@ SOLVERS = {"left": solve_left, "right": solve_right, "two_sided": solve_two_side
 COEFFICIENTS = st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-300)
 
 
+def plain_source(spec):
+    """``spec`` with its source behind a plain callable."""
+    source = spec.source
+    return ProblemSpec1D(**{**spec.__dict__, "source": lambda x, t: source(x, t)})
+
+
 def manufactured_spec(side, alpha, M, N):
     # left and right carry a nonzero far trace, e^{-t - lam} and e^{-t}
     case = {
@@ -362,7 +368,7 @@ class TestBlockMarching:
             step = lambda U, f: jump @ U + f[0]
         terms = (solver1d._Term(ZERO, 0.0, (np.zeros_like(U0),)),)
         with block_steps(2), pytest.raises(BlowupError) as err:
-            solver1d._march(step, U0, TimeGrid(1.0, 2), terms, factors=factors)
+            solver1d._march(step, 1, U0, TimeGrid(1.0, 2), terms, factors=factors)
         assert err.value.step == 1
 
     def test_block_path_only_where_dense_G_pays(self):
@@ -373,16 +379,122 @@ class TestBlockMarching:
         assert solver1d._block_steps(1599, 16) == 1
         assert solver1d._block_steps(3199, 16) == 1
 
-    def test_history_and_plain_sources_stay_stepwise(self):
+    def test_history_and_plain_sources_step_on_the_compiled_G(self):
+        # a stored history and a plain-callable source march on G = step(I):
+        # one product a step, the LU solves only while G and the forcing
+        # maps are formed
         case = case_ex5_1(1.5, 1.0, j=5)
         spec = case.build_spec(0.1)(200)
-        plain = ProblemSpec1D(**{**spec.__dict__, "source": lambda x, t: spec.source(x, t)})
-        with mock.patch.object(solver1d, "_march_blocks", side_effect=AssertionError):
-            solve_left(spec, store_history=True)
-            solve_left(plain)
+        plain = plain_source(spec)
+        for run in (lambda: solve_left(spec, store_history=True), lambda: solve_left(plain),
+                    lambda: solve_left(plain, store_history=True)):
+            with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks, \
+                    mock.patch.object(solver1d, "lu_solve", wraps=lu_solve) as solves:
+                run()
+            assert blocks.call_count == 1
+            assert blocks.call_args.args[5] == 1  # blocks of one step
+            assert solves.call_count <= 3
         with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
             solve_left(spec)
         assert blocks.call_count == 1
+        assert blocks.call_args.args[5] > 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        side=st.sampled_from(sorted(SOLVERS)),
+        plain=st.booleans(),
+        alpha=st.floats(1.05, 1.95),
+        M=st.integers(5, 24),
+        N=st.integers(1, 200),
+    )
+    def test_history_on_G_equals_stepwise_history(self, side, plain, alpha, M, N):
+        # left and right carry a nonzero far trace; the compiled path must
+        # reproduce every stored row of the stepwise reference
+        spec = manufactured_spec(side, alpha, M, N)
+        if plain:
+            spec = plain_source(spec)
+        with block_steps(1):
+            ref = SOLVERS[side](spec, store_history=True).history
+        with block_steps(64), mock.patch.object(solver1d, "_march_blocks",
+                                                wraps=solver1d._march_blocks) as blocks:
+            got = SOLVERS[side](spec, store_history=True).history
+        assert blocks.call_count == 1
+        assert got.shape == ref.shape == (N + 1, M + 1)
+        scale = np.max(np.abs(ref), axis=1)
+        assert np.all(np.max(np.abs(got - ref), axis=1) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("variant", ["history", "plain", "plain history"])
+    def test_blowup_step_on_G(self, variant):
+        spec = case_ex5_1(1.9, 50.0, j=5).build_spec(0.1)(100)
+        if "plain" in variant:
+            spec = plain_source(spec)
+        with warnings.catch_warnings(), \
+                mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
+            warnings.simplefilter("ignore")
+            with pytest.raises(BlowupError) as err:
+                solve_left(spec, store_history="history" in variant)
+        assert blocks.call_count == 1
+        assert err.value.step == 69
+
+    @pytest.mark.parametrize("K", [1, 64])
+    def test_forcing_spike_blows_up_at_its_step(self, K):
+        # a stable step driven past the limit by one step's source alone:
+        # the growth bound of that step must send it back to the stages
+        spec = manufactured_spec("left", 1.5, 10, 50)
+        tau = spec.time.tau
+        spike = lambda x, t: np.full_like(x, 1e40 if abs(t - 20 * tau) < 0.5 * tau else 0.0)
+        with block_steps(K), pytest.raises(BlowupError) as err:
+            solve_left(ProblemSpec1D(**{**spec.__dict__, "source": spike}), store_history=True)
+        assert err.value.step == 20
+
+    @pytest.mark.parametrize("side", sorted(SOLVERS))
+    def test_plain_source_is_called_once_per_step(self, side):
+        N = 150
+        spec = manufactured_spec(side, 1.5, 10, N)
+        calls = []
+
+        def counted(x, t):
+            calls.append(t)
+            return spec.source(x, t)
+
+        counted_spec = ProblemSpec1D(**{**spec.__dict__, "source": counted})
+        with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
+            got = SOLVERS[side](counted_spec, store_history=True)
+        assert blocks.call_count == 1
+        assert len(calls) == N
+        with block_steps(1):
+            want = SOLVERS[side](counted_spec, store_history=True)
+        assert np.max(np.abs(got.history - want.history)) <= 1e-12 * np.max(np.abs(want.history))
+
+    @pytest.mark.parametrize("plain,store_history", [(False, True), (True, True), (False, False)])
+    def test_fft_stages_never_form_a_dense_G(self, plain, store_history):
+        # on the Levinson + FFT stage path a step costs O(m log m), less than
+        # the product with a dense G: even where the price says blocks pay,
+        # a run keeps its stages
+        assert solver1d._block_steps(1599, 30000) > 1
+        spec = case_ex5_1(1.5, 1.0, j=5).build_spec(1.0 / 1600)(4)
+        if plain:
+            spec = plain_source(spec)
+        with block_steps(64), \
+                mock.patch.object(solver1d, "_march_blocks", side_effect=AssertionError), \
+                mock.patch.object(solver1d, "lu_factor", side_effect=AssertionError):
+            got = solve_left(spec, store_history=store_history)
+        with toeplitz_from(10**9):
+            want = solve_left(spec, store_history=store_history)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-11 * np.max(np.abs(want.values))
+        if store_history:
+            assert got.history.shape == (5, 1601)
+            assert np.max(np.abs(got.history - want.history)) <= 1e-11 * np.max(np.abs(want.history))
+
+    def test_every_stage_takes_its_forcing(self):
+        # a forcing list shorter or longer than the scheme's stages is an
+        # error, not a stage silently dropped
+        stages = ((lambda b: b, lambda U: U), (lambda b: 2.0 * b, lambda U: U))
+        U = np.ones(3)
+        assert np.array_equal(solver1d._apply_stages(stages, U, [0.0, 1.0]), [4.0, 4.0, 4.0])
+        for forcing in ([], [0.0], [0.0, 0.0, 0.0]):
+            with pytest.raises(ValueError):
+                solver1d._apply_stages(stages, U, forcing)
 
 
 class TestForcingSamples:

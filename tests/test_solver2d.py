@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
-from tempfrac import solver1d
+from tempfrac import _blas, solver1d, solver2d
 from tempfrac.calculus import TemperedParams
 from tempfrac.operators import Grid1D, TimeGrid, apply_compact, assemble_B, assemble_P
 from tempfrac.solver1d import BlowupError, SeparableSource
@@ -91,6 +91,22 @@ class TestSweepPlumbing:
             S = Fxy @ By_inv.T
             V = lu_solve(lu, (Bx + 0.5 * tau * Px) @ V + tau * S)
         assert U == pytest.approx(V, rel=1e-10, abs=1e-12)
+
+    def test_sweeps_run_on_one_blas_thread(self):
+        # the sweeps alternate SciPy's and NumPy's OpenBLAS pools; both are
+        # capped for the march and restored after it
+        seen = []
+        march = solver2d._march
+
+        def spy(*args, **kwargs):
+            seen.append([get() for get, _ in _blas._pools()])
+            return march(*args, **kwargs)
+
+        before = [get() for get, _ in _blas._pools()]
+        with mock.patch.object(solver2d, "_march", spy):
+            solve_adi(zero_spec2d())
+        assert seen == [[1] * len(before)]
+        assert [get() for get, _ in _blas._pools()] == before
 
 
 @contextlib.contextmanager
