@@ -8,6 +8,7 @@ deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -20,6 +21,7 @@ from .spectral import RegimeError, check_B_bounds, check_P_definiteness, hplus_s
 from .verification import make_case, run_convergence_study
 
 
+@functools.cache  # parse_args leaves the parser as it is, so one serves every call
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="tempfrac",

@@ -17,8 +17,9 @@ U, whose G is R (x) L.  A run assembles and factors its matrices once and
 compiles its forcing once, into terms that are each a fixed vector times a
 scalar function of time (the far boundary trace always is, and so is a
 :class:`SeparableSource`) or, for a plain source callable, one source
-evaluation per step.  Each scalar function is sampled once per distinct time
-level of the run.
+evaluation per step.  Each scalar function is sampled once for all the time
+levels of the run: one call with the array of those times where it accepts
+one (``np.exp`` does), else one call per level (``math.exp``).
 
 A step is a sequence of stages, each a (solve, apply) pair:
 U <- solve(apply(U) + f).  The matrices are built from Toeplitz columns and
@@ -111,8 +112,11 @@ class SeparableSource:
     ``profile`` maps the space arguments (the nodes in 1D, the meshgrid arrays
     X, Y in 2D) to the space factor, and ``temporal`` maps a time to a scalar.
     The solvers evaluate the profile once per run and march such problems
-    in blocks of steps.  A boundary trace is a scalar function of time, so it
-    is separable as it stands and needs no such wrapper.
+    in blocks of steps.  A ``temporal`` that also maps an array of times to
+    the array of its values (``np.exp``, not ``math.exp``) is called once per
+    run; otherwise once per time level.  A boundary trace is a scalar
+    function of time, so it is separable as it stands and needs no such
+    wrapper.
     """
 
     profile: Callable
@@ -131,8 +135,10 @@ class ProblemSpec1D:
     t to the traces at x = a and x = b; ``source`` maps (x, t) to f and must
     accept a vector of nodes.  A :class:`SeparableSource` lets long runs march
     in blocks of steps; a plain callable is evaluated once per step, and a
-    long run with it still steps on the compiled G, one product a step.
-    ``side`` selects the scheme.
+    long run with it still steps on the compiled G, one product a step.  A
+    trace that also accepts an array of times is called once per run for
+    all the time levels, otherwise once per level.  ``side`` selects the
+    scheme.
     """
 
     grid: Grid1D
@@ -321,8 +327,8 @@ def _sample(terms, N, tau):
     """samples[n, k] = terms[k].fn((n + shift_k) * tau).
 
     Terms with one callable whose shifts differ by whole steps read one run
-    of samples, so that callable is called once per distinct time (the far
-    boundary trace enters at shifts 0 and 1).
+    of samples, taken by _sample_run at the distinct times of the run (the
+    far boundary trace enters at shifts 0 and 1).
     """
     samples = np.empty((N, len(terms)))
     runs = {}
@@ -333,11 +339,34 @@ def _sample(terms, N, tau):
         # n + shift_k for j = n + lag_k
         first = min(terms[k].shift for k in ks)
         lags = [int(terms[k].shift - first) for k in ks]
-        fn, count = terms[ks[0]].fn, N + max(lags)
-        values = np.fromiter((fn((j + first) * tau) for j in range(count)), float, count)
+        values = _sample_run(terms[ks[0]].fn, first, N + max(lags), tau)
         for k, lag in zip(ks, lags):
             samples[:, k] = values[lag:lag + N]
     return samples
+
+
+def _sample_run(fn, first, count, tau):
+    """fn((j + first) * tau) for j = 0, ..., count - 1, as an array.
+
+    From two times on (one time is one call either way), fn is called once
+    with the array of those times, the same floats a call per time would
+    receive.  The result is taken where it broadcasts to (count,), is
+    finite and agrees with scalar calls at the first and last time to 1e-12
+    relative; otherwise, or where the array call raises, fn is called once
+    per time, as a scalar-only callable (``math.exp``, or one that branches
+    on t) needs.
+    """
+    if count > 1:
+        times = (np.arange(count) + first) * tau
+        try:
+            values = np.broadcast_to(np.asarray(fn(times), dtype=float), (count,))
+            if np.isfinite(values).all() and all(
+                    math.isclose(values[j], fn((j + first) * tau), rel_tol=1e-12)
+                    for j in (0, count - 1)):
+                return values
+        except Exception:  # a genuine error is raised again by the calls per time
+            pass
+    return np.fromiter((fn((j + first) * tau) for j in range(count)), float, count)
 
 
 def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, general, chunk):
@@ -458,7 +487,7 @@ def _solve(spec, stages, terms, store_history):
     if store_history:  # the march fills the interior columns in place
         history = np.empty((time.N + 1, grid.M + 1))
         for column, trace in ((0, spec.boundary_left), (-1, spec.boundary_right)):
-            history[:, column] = [trace(n * time.tau) for n in range(time.N + 1)]
+            history[:, column] = _sample_run(trace, 0.0, time.N + 1, time.tau)
     U = _march(functools.partial(_apply_stages, stages), len(stages), U0, time, terms,
                None if history is None else history[:, 1:-1],
                toeplitz_stages=_toeplitz_stages(grid.M - 1, spec.params.lam * grid.h))

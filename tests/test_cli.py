@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tempfrac.cli import main
+from tempfrac.cli import _build_parser, main
 
 
 class TestWeightsCommand:
@@ -142,6 +142,39 @@ class TestStabilityCommand:
     def test_splitting_inapplicable_reported(self, capsys):
         main(["stability", "--alpha", "1.2", "--lambda", "0", "--h", "0.05"])
         assert "not applicable" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    ARGVS = (
+        ["weights", "--alpha", "1.5", "--lambda", "1", "--h", "0.1", "--n", "5"],
+        ["converge", "--case", "ex5_1", "--levels", "2", "--format", "csv"],
+        ["stability", "--alpha", "1.9", "--lambda", "0", "--h", "0.05"],
+        ["converge", "--levels", "two"],
+        ["converge", "--case", "ex5_2", "--levels", "2", "--format", "csv"],
+    )
+
+    @staticmethod
+    def _run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        if argv[0] == "converge":  # the last CSV column, wall_ms, is a timing
+            lines = [line.rsplit(",", 1)[0] for line in lines]
+        return code, lines, err
+
+    def test_one_parser_serves_every_call(self, capsys):
+        _build_parser.cache_clear()
+        fresh = []
+        for argv in self.ARGVS:
+            _build_parser.cache_clear()
+            fresh.append(self._run(argv, capsys))
+        reused = [self._run(argv, capsys) for argv in self.ARGVS]
+        assert _build_parser() is _build_parser()
+        assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0]
+        assert reused == fresh
 
 
 class TestEntryPoint:

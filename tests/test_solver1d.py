@@ -500,26 +500,64 @@ class TestBlockMarching:
 class TestForcingSamples:
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("K", [1, 64])
-    def test_far_trace_is_sampled_once_per_time_level(self, side, K):
-        case = case_ex5_1(1.5, 1.0, j=5) if side == "left" else case_ex5_2(1.5, 1.0, j=5)
-        N = 150
+    def test_far_trace_is_sampled_in_one_array_call(self, side, K):
+        # an array-capable far trace is called once with all N + 1 time
+        # levels; a scalar-only one still sees one call per level
+        lam, N = 1.0, 150
+        case = case_ex5_1(1.5, lam, j=5) if side == "left" else case_ex5_2(1.5, lam, j=5)
         spec = case.build_spec(0.1)(N)
         far = "boundary_right" if side == "left" else "boundary_left"
-        times = []
+        offset = -lam if side == "left" else 0.0
+        levels = [n * spec.time.tau for n in range(N + 1)]
 
-        def counted(t):
-            times.append(t)
-            return getattr(spec, far)(t)
+        def run(trace):
+            calls = []
 
-        counted_spec = ProblemSpec1D(**{**spec.__dict__, far: counted})
-        with block_steps(K):
-            got = SOLVERS[side](counted_spec).values
-            want = SOLVERS[side](spec).values
-        assert np.array_equal(got, want)
-        # the corner check at t = 0, one sample per time level of the
-        # forcing, then the boundary value of the returned solution at T
-        assert len(times) == N + 3
-        assert len(set(times[1:-1])) == N + 1
+            def counted(t):
+                calls.append(t)
+                return trace(t)
+
+            with block_steps(K):
+                sol = SOLVERS[side](ProblemSpec1D(**{**spec.__dict__, far: counted}))
+            return sol.values, calls
+
+        array_values, calls = run(lambda t: np.exp(offset - t))
+        # the corner check at t = 0, the levels at once, the spot checks at
+        # the first and last level, then the boundary value of the returned
+        # solution at T
+        assert len(calls) == 5
+        assert np.array_equal(calls[1], levels)
+        assert [calls[0], *calls[2:]] == [0.0, levels[0], levels[-1], spec.time.T]
+        scalar_values, calls = run(lambda t: math.exp(offset - t))
+        assert len(calls) == N + 4 and np.array_equal(calls[1], levels)  # the array call raised
+        per_level = calls[2:-1]
+        assert len(per_level) == len(set(per_level)) == N + 1 and per_level == levels
+        np.testing.assert_allclose(array_values, scalar_values, rtol=1e-12, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shifts=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]), min_size=1, max_size=4),
+        tau=st.floats(1e-5, 0.5),
+        N=st.integers(2, 300),
+    )
+    def test_array_path_equals_the_per_level_path(self, shifts, tau, N):
+        array_calls = []
+
+        def fn(t):
+            if np.ndim(t):
+                array_calls.append(t)
+            return np.exp(-t) * (2.0 + np.cos(3.0 * t))
+
+        def scalar_only(t):
+            if np.ndim(t):
+                raise TypeError("scalar times only")
+            return fn(t)
+
+        got = solver1d._sample([solver1d._Term(fn, s, ()) for s in shifts], N, tau)
+        want = solver1d._sample([solver1d._Term(scalar_only, s, ()) for s in shifts], N, tau)
+        # one array call per run of shifts a whole number of steps apart
+        assert len(array_calls) == len({math.modf(s)[0] for s in shifts})
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_shared_callable_gives_the_same_samples(self):
         tau, N = 0.01, 40
@@ -531,6 +569,59 @@ class TestForcingSamples:
         samples = solver1d._sample(shared, N, tau)
         assert np.array_equal(samples, solver1d._sample(apart, N, tau))
         assert np.array_equal(samples[:, 1], [fn((n + 1.0) * tau) for n in range(N)])
+
+    @staticmethod
+    def _sampled(fn, N=20, tau=0.05, shift=0.5):
+        """One term's samples, every call of fn, and the times of its levels."""
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return fn(t)
+
+        samples = solver1d._sample((solver1d._Term(counted, shift, ()),), N, tau)[:, 0]
+        return samples, calls, [(n + shift) * tau for n in range(N)]
+
+    @pytest.mark.parametrize("fn", [
+        math.exp,  # TypeError on an array
+        lambda t: 1.0 if t < 0.5 else math.cos(t),  # ValueError from the truth test
+        lambda t: np.exp(-t) if np.ndim(t) == 0 else np.exp(-t)[:, None],  # wrong shape
+        # a spot check fails at the first, or only at the last, time
+        lambda t: np.exp(-t) if np.ndim(t) == 0 else np.where(t > t[0], np.exp(-t), 0.0),
+        lambda t: np.exp(-t) if np.ndim(t) == 0 else np.exp(-t) * (1.0 + 1e-9 * (t == t[-1])),
+        # non-finite between the spot checks only
+        lambda t: np.exp(-t) if np.ndim(t) == 0 else np.where(abs(t - 0.5) < 0.1, np.nan, np.exp(-t)),
+    ], ids=["TypeError", "ValueError", "shape", "mismatch-first", "mismatch-last", "non-finite"])
+    def test_rejected_array_call_falls_back_to_one_call_per_level(self, fn):
+        samples, calls, levels = self._sampled(fn)
+        assert np.ndim(calls[0]) == 1
+        assert calls[-len(levels):] == levels
+        assert np.array_equal(samples, [fn(t) for t in levels])
+
+    def test_constant_scalar_result_is_broadcast(self):
+        samples, calls, levels = self._sampled(lambda t: 2.5)
+        assert len(calls) == 3 and np.array_equal(calls[0], levels)
+        assert np.array_equal(samples, np.full(len(levels), 2.5))
+
+    def test_single_time_gets_one_scalar_call(self):
+        samples, calls, levels = self._sampled(math.exp, N=1)
+        assert calls == levels and np.array_equal(samples, [math.exp(levels[0])])
+
+    def test_history_boundary_columns_are_sampled_in_one_call(self):
+        spec = case_ex5_2(1.5, 1.0, j=5).build_spec(0.1)(200)
+        calls = []
+
+        def left(t):
+            calls.append(t)
+            return spec.boundary_left(t)
+
+        hist = solve_right(ProblemSpec1D(**{**spec.__dict__, "boundary_left": left}),
+                           store_history=True).history
+        times = np.arange(201) * spec.time.tau
+        # the far trace's forcing and its history column: one array call each
+        assert sum(np.ndim(t) == 1 for t in calls) == 2
+        np.testing.assert_allclose(hist[:, 0], [math.exp(-t) for t in times], rtol=1e-15)
+        assert np.array_equal(hist[:, -1], np.zeros(201))
 
 
 class TestTwoSidedStep:

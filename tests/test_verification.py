@@ -103,6 +103,19 @@ class TestOracleResiduals:
         assert abs(ut - dx - dy - f) < 1e-6
 
 
+class TestTimeFunctions:
+    def test_manufactured_time_functions_accept_arrays(self):
+        # so that a solve samples each of them in one call
+        t = np.linspace(0.0, 1.0, 7)
+        for case in (case_ex5_1(1.5, 1.0), case_ex5_2(1.5, 1.0),
+                     case_ex5_3(1.5, 1.5, 0.1, 0.1), case_ex5_4(1.5, 0.1)):
+            np.testing.assert_allclose(case.source.temporal(t), np.exp(-t), rtol=1e-15)
+        for case, far in ((case_ex5_1(1.5, 1.0), "boundary_right"),
+                          (case_ex5_2(1.5, 1.0), "boundary_left")):
+            trace = getattr(case.build_spec(0.1)(10), far)
+            np.testing.assert_allclose(trace(t), [trace(s) for s in t.tolist()], rtol=1e-15)
+
+
 class TestSeriesSource:
     def test_untempered_series_collapses_to_first_term(self):
         # lam = 0 kills every series term beyond j = 0; compare against the
@@ -123,6 +136,32 @@ class TestSeriesSource:
         lam = 0.1
         log_term = 50 * math.log(2 * lam) - math.lgamma(51)
         assert math.exp(log_term) * math.exp(math.lgamma(59) - math.lgamma(59 - 1.9)) < 1e-16
+
+    @staticmethod
+    def _series_term_by_term(alpha, lam, x, t, n_terms=50):
+        """The ex5_4 source with its series added one term at a time."""
+        binom = (1.0, -4.0, 6.0, -4.0, 1.0)
+        one_m_x = 1.0 - x
+        left = x**4 * one_m_x**4 - 2.0 * lam**alpha * x**4 * one_m_x**4
+        for m in range(5):
+            left = left + binom[m] * math.gamma(5.0 + m) / math.gamma(5.0 + m - alpha) * x ** (
+                4.0 + m - alpha)
+        right = np.zeros_like(x)
+        for jj in range(n_terms + 1 if lam > 0.0 else 1):
+            cj = math.exp(0.0 if jj == 0 else jj * math.log(2.0 * lam) - math.lgamma(jj + 1.0))
+            for m in range(5):
+                coeff = cj * binom[m] * math.exp(
+                    math.lgamma(5.0 + m + jj) - math.lgamma(5.0 + m + jj - alpha))
+                right = right + coeff * one_m_x ** (jj + 4.0 + m - alpha)
+        return -math.exp(-t) * (np.exp(-lam * x) * left + np.exp(lam * (x - 2.0)) * right)
+
+    @pytest.mark.parametrize("nodes", [1, 11, 41, 3201])
+    def test_chunked_series_is_bit_identical_to_the_term_loop(self, nodes):
+        x = np.linspace(0.0, 1.0, nodes) if nodes > 1 else np.array([0.3])
+        for alpha in (1.1, 1.5, 1.8, 1.99):
+            for lam in (0.0, 0.1, 1.0, 3.0):
+                got = build_example_5_4_source(alpha, lam, x, 0.25)
+                assert np.array_equal(got, self._series_term_by_term(alpha, lam, x, 0.25))
 
     def test_more_terms_do_not_change_value(self):
         got50 = build_example_5_4_source(1.5, 0.1, 0.4, 0.0, n_terms=50)
