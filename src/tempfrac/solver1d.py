@@ -31,15 +31,18 @@ B_r - tau P_l^T two-sided) are served by size and regime, in one place
 (``_toeplitz_map``): below 600 unknowns, or where lam*h > 1, a dense system
 is LU-factored once, in place; from 600 unknowns on where lam*h <= 1, the
 range in which every stage matrix that is solved is positive real, a solve
-uses two generators found once by Levinson recursion and the
-Gohberg-Semencul formula, every product one FFT (O(m log m) a step instead of
-O(m^2), no dense matrix).  All of them act column by column on matrices.
+uses two generators found once and the Gohberg-Semencul formula, every
+product one FFT (O(m log m) a step instead of O(m^2), no dense matrix).  The
+generators come from GMRES preconditioned with Strang's circulant and
+refined against residuals taken in extended precision, O(m log m) as well;
+a pair that fails to certify its residual is replaced by Levinson's
+(O(m^2)).  All of them act column by column on matrices.
 One marcher then takes one of two paths:
 
 * stepwise: the stages of the scheme, one step at a time.  This is the
   reference path, and the only one for runs too short for a dense G to pay,
-  for the Levinson + FFT stages (whose O(m log m) step beats a product with
-  a dense G) and for 2D runs with a plain-callable source;
+  for the generator + FFT stages (whose O(m log m) step beats a product
+  with a dense G) and for 2D runs with a plain-callable source;
 * block: K steps at once on an (m, r) state, U <- L^K U (R^K)^T + W g, with
   the powers and the terms L^j D (R^j)^T of W precomputed and g holding the
   K temporal samples of each term.  A vector state is the case r = 1,
@@ -95,6 +98,15 @@ _BLOCK_FLOATS = 2**17
 # stage matrices of at least this dimension are solved and applied through
 # their Toeplitz structure where lam*h <= 1 (see _toeplitz_map)
 _TOEPLITZ_DIM = 600
+# the two generators of such a solve come from GMRES (see _krylov_generators)
+# where each call meets _GMRES_TOL within _GMRES_CAP iterations and the
+# refined residual, taken in _EXTENDED precision, is at most
+# _GENERATOR_RESIDUAL; otherwise from Levinson
+_GMRES_TOL = 1e-10
+_GMRES_CAP = 12
+_REFINEMENTS = 3
+_GENERATOR_RESIDUAL = 1e-15
+_EXTENDED = np.longdouble
 
 
 class BlowupError(RuntimeError):
@@ -374,9 +386,10 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
 
     With (L, R) = factors() a step maps the (m, r) state U to
     L U R^T + sum_t c_t D_t, where D_t = step(0, vectors of term t).  A block
-    of k steps maps U to L^k U (R^k)^T + sum_j g_j W_j, where
-    g = samples[n:n+k].ravel() and W_j for term t at step i of the block is
-    L^(k-1-i) D_t (R^(k-1-i))^T.  Blocks of one step have their forcing
+    of k steps maps U to L^k U (R^k)^T plus the sum over its steps i and
+    terms t of samples[n + i, t] L^(k-1-i) D_t (R^(k-1-i))^T, one product of
+    the block's samples, last step first, with the head of the forcing
+    stack (see _forcing_stack).  Blocks of one step have their forcing
     formed ``chunk`` at a time, to which ``general(start, stop)`` adds that
     of the general terms of those steps, one row a step; row n + 1 of
     ``history`` receives the state after step n.
@@ -409,7 +422,7 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
     # sup-norm bound of each step's forcing, summed per block below
     forcing_bound = np.abs(samples) @ np.max(np.abs(D), axis=(0, 2))
 
-    # the forcing stack of a block of k steps is the tail of the longest one
+    # the forcing stack of a block of k steps is the head of the longest one
     W = _forcing_stack(powers, D, min(K, N))
     n = 0
     u_norm = abs(U).max()
@@ -417,22 +430,25 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
         if k == 0 or n + k > N:
             continue
         Lk, Rk = _block_power(powers, k)
-        RkT, Wk = Rk.T, W[:, W.shape[1] - k * T:]
+        RkT, Wk = Rk.T, W[:k * T]
         blocks = (N - n) // k
         bounds = forcing_bound[n:n + blocks * k].reshape(blocks, k).sum(axis=1).tolist()
+        # the samples of each block, last step first, read against the stack
+        g = samples[n:n + blocks * k].reshape(blocks, k, T)[:, ::-1].reshape(blocks, k * T)
         size = chunk if k == 1 else 1  # blocks whose forcing is formed at once
         for first in range(0, blocks, size):
             block_bounds = bounds[first:first + size]
             c = len(block_bounds)
-            F = samples[n:n + c * k].reshape(c, k * T) @ Wk.T
+            # row j of F is the forcing of a block, transposed (see _forcing_stack)
+            F = (g[first:first + c] @ Wk).reshape(c, *shape[::-1])
             if general is not None:
                 fields = general(n, n + c)
                 F += fields
                 block_bounds = (np.abs(fields).max(axis=1) + block_bounds).tolist()
-            for f, block_bound in zip(F.reshape(c, *shape), block_bounds):
+            for f, block_bound in zip(F, block_bounds):
                 accepted = False
                 if gamma * (u_norm + block_bound) <= _BLOCK_LIMIT:
-                    V = (Lk @ U if vector else Lk @ U @ RkT) + f
+                    V = (Lk @ U if vector else Lk @ U @ RkT) + f.T
                     v_norm = abs(V).max()
                     accepted = v_norm <= _BLOCK_LIMIT
                 if accepted:
@@ -457,27 +473,32 @@ def _block_power(powers, k):
 
 
 def _forcing_stack(powers, D, k):
-    """W for blocks of k steps, from the forcing terms D of shape (m, T, r).
+    """The forcing stack for blocks of up to k steps, from the forcing terms
+    D of shape (m, T, r).
 
-    Row a r + b, column i T + t of W holds entry (a, b) of
-    L^(k-1-i) D_t (R^(k-1-i))^T, so W @ g sums the forcing of a block.
+    Row i T + t holds L^i D_t (R^i)^T, an (m, r) matrix, transposed and
+    flattened: entry (a, b) at column b m + a.  The head of i < k' rows
+    serves a block of k' steps, its samples taken last step first.
     """
     m, T, r = D.shape
-    # X[:, i T + t] = L^i D_t (R^i)^T, filled by doubling: the first w
-    # entries through L^w and R^w give the next w, one product through L and
-    # one through R^T each
-    X = np.empty((m, k * T, r))
-    X[:, :T] = D
+    X = np.empty((k * T, r, m))
+    X[:T] = D.transpose(1, 2, 0)
+    # filled by doubling: the first w entries through L^w and R^w give the
+    # next w, one product through L and, in place, one through R; the
+    # products through R take chunks of at most _BLOCK_FLOATS / 8 floats,
+    # so that the stack is the only large array held
+    chunk = max(1, _BLOCK_FLOATS // (8 * m * r))
     w = 1
     for L, R in powers:
         if w >= k:
             break
         c = min(w, k - w) * T
-        Y = (L @ X[:, :c].reshape(m, c * r)).reshape(m * c, r) @ R.T
-        X[:, w * T:w * T + c] = Y.reshape(m, c, r)
+        Y = X[w * T:w * T + c]
+        np.matmul(X[:c].reshape(c * r, m), L.T, out=Y.reshape(c * r, m))
+        for j in range(0, c, chunk):
+            Y[j:j + chunk] = R @ Y[j:j + chunk]
         w *= 2
-    X = X.reshape(m, k, T, r)[:, ::-1]
-    return X.transpose(0, 3, 1, 2).reshape(m * r, k * T)
+    return X.reshape(k * T, r * m)
 
 
 def _solve(spec, stages, terms, store_history):
@@ -516,18 +537,18 @@ def _toeplitz_map(col, row, lam_h, inverse=False):
     real, its symmetric part positive definite, so no leading principal minor
     is singular and Levinson recursion cannot break down.  There, from
     _TOEPLITZ_DIM unknowns on, T is never expanded: a product embeds it in a
-    circulant, and a solve applies the Gohberg-Semencul formula to two
-    generators found once by Levinson (O(m^2)), every triangular Toeplitz
-    product one FFT against a precomputed spectrum (O(m log m) a step).
-    Otherwise T is expanded, and LU-factored in place for a solve:
+    circulant, and a solve applies the Gohberg-Semencul formula to the two
+    generators T^{-1} e_1 and T^{-1} e_m (see _generators), every triangular
+    Toeplitz product one FFT against a precomputed spectrum (O(m log m) a
+    step).  Otherwise T is expanded, and LU-factored in place for a solve:
     toeplitz(row, col).T is T in Fortran order, which LAPACK factors without
     a second copy.  Measured per stage on 2 cores (build / step), LU against
-    Levinson and FFT: m = 399, 3 ms / 60 us against 1.1 ms / 95 us; m = 599,
-    8-10 ms / 190-230 us against 2.2-2.7 ms / 110-130 us; m = 3199, 410 ms /
-    6.5 ms against 48 ms / 0.44 ms.  The FFT solve is normwise, not
-    backward, stable: at m = 3199 and lam*h = 0 it is off by up to 7e-11
-    relative where LU is off by up to 8e-12; at lam*h = 1 both stay within
-    2e-15.
+    generators and FFT: m = 399, 3 ms / 60 us against 1.1 ms / 95 us (with
+    Levinson generators); m = 3199, 410 ms / 6.5 ms against 15-25 ms /
+    0.44 ms (Levinson: 45-50 ms).  At m = 1599 and 3199 the generators
+    from GMRES are within 1e-17 to 7e-14 of a dense solve refined in long
+    double, 6 to 5e5 times closer than Levinson's, and the FFT solve is off
+    by up to 9e-14 relative (with Levinson's generators 7e-11, LU 8e-12).
     """
     m = len(col)
     if not _toeplitz_stages(m, lam_h):
@@ -537,17 +558,8 @@ def _toeplitz_map(col, row, lam_h, inverse=False):
         return lambda b: lu_solve(lu, b, check_finite=False)
     n = next_fast_len(2 * m - 1, real=True)
     if not inverse:
-        # T is the leading m x m block of the circulant with this first column
-        spectrum = rfft(np.concatenate((col, np.zeros(n - 2 * m + 1), row[:0:-1])))
-
-        def apply(b):
-            B = rfft(b.reshape(m, -1), n, axis=0)
-            return irfft(spectrum[:, None] * B, n, axis=0)[:m].reshape(b.shape)
-
-        return apply
-    e = np.zeros((m, 2))
-    e[0, 0] = e[-1, 1] = 1.0
-    x, y = solve_toeplitz((col, row), e, check_finite=False).T
+        return _circulant_product(col, row, n)
+    x, y = _generators(col, row, n)
     # T^{-1} = (L(x) U(Jy) - L(Zy) U(ZJx)) / x_0, with L(v) (U(v)) the lower
     # (upper) triangular Toeplitz matrix of first column (row) v, J the
     # reversal and Z the down shift.  L(v) b is the head of the convolution
@@ -563,6 +575,130 @@ def _toeplitz_map(col, row, lam_h, inverse=False):
                      n, axis=0)[:m].reshape(b.shape)
 
     return solve
+
+
+def _circulant_product(col, row, n, dtype=float):
+    """b -> T b for T = toeplitz(col, row), in ``dtype``: T is the leading
+    m x m block of the n-circulant with first column (col, 0, ..., 0, J row)."""
+    m = len(col)
+    column = np.concatenate((col, np.zeros(n - 2 * m + 1), row[:0:-1])).astype(dtype)
+    spectrum = rfft(column)
+
+    def apply(b):
+        B = rfft(b.reshape(m, -1).astype(dtype, copy=False), n, axis=0)
+        return irfft(spectrum[:, None] * B, n, axis=0)[:m].reshape(b.shape)
+
+    return apply
+
+
+def _generators(col, row, n):
+    """x = T^{-1} e_1 and y = T^{-1} e_m for T = toeplitz(col, row), from
+    _krylov_generators where they certify their residual, else by Levinson."""
+    m = len(col)
+    E = np.zeros((m, 2))
+    E[0, 0] = E[-1, 1] = 1.0
+    X = _krylov_generators(col, row, n, E)
+    if X is None:
+        X = solve_toeplitz((col, row), E, check_finite=False)
+    return X.T
+
+
+def _krylov_generators(col, row, n, E):
+    """T^{-1} E for the two unit columns E, by GMRES preconditioned with
+    T's Strang circulant and refined against residuals in extended
+    precision; None unless every GMRES call converged within _GMRES_CAP
+    iterations and the refined residual max |E - T X| is at most
+    _GENERATOR_RESIDUAL.
+
+    A residual in double precision cannot certify the generators: the
+    rounding of T X alone is about eps |T| |X|, and an unrefined solve
+    stopped at a 1e-13 residual left generators 17 to 120 times less
+    accurate than Levinson's at m = 3199.  Each refinement X <- X + GMRES(E - T X) takes
+    E - T X in ``np.longdouble`` through one FFT product, and stops once the
+    correction is at round-off; where that type is no wider than double
+    (Windows, macOS on arm64) the caller takes Levinson.
+    """
+    eps = np.finfo(float).eps
+    if np.finfo(_EXTENDED).eps >= eps:
+        return None
+    m = len(col)
+    # Strang's circulant C keeps the central diagonals of T, c_k for
+    # k <= m/2 and r_(m-k) above, wrapped around
+    half = m // 2
+    eigenvalues = rfft(np.concatenate((col[:half + 1], row[m - half - 1:0:-1])))
+    size = np.abs(eigenvalues)
+    if not size.min() > eps * size.max():
+        return None  # singular, or too near it to precondition with
+    # a product with C^{-1} is a circular convolution of length m, taken as
+    # a linear one at the fast length n of the product with T and wrapped
+    inverse = rfft(irfft(1.0 / eigenvalues, m), n)
+
+    def precondition(V):
+        W = irfft(inverse[:, None] * rfft(V, n, axis=0), n, axis=0)
+        W[:m - 1] += W[m:2 * m - 1]
+        return W[:m]
+
+    product = _circulant_product(col, row, n)
+    extended = _circulant_product(col, row, n, _EXTENDED)
+    X = _gmres(product, precondition, E)
+    for _ in range(_REFINEMENTS):
+        if X is None:
+            return None
+        D = _gmres(product, precondition, (E - extended(X)).astype(float))
+        if D is None:
+            return None
+        X = X + D
+        if (np.abs(D).max(axis=0) <= eps * np.abs(X).max(axis=0)).all():
+            break
+    if not np.abs(E - extended(X)).max() <= _GENERATOR_RESIDUAL:
+        return None
+    return X
+
+
+def _gmres(product, precondition, B):
+    """X with product(X) = B by right-preconditioned GMRES, one Krylov space
+    per column of B, all columns sharing each call of ``product`` and
+    ``precondition``; None unless each column's residual falls to _GMRES_TOL
+    of its right-hand side within _GMRES_CAP iterations.
+
+    The basis is orthogonalized by classical Gram-Schmidt, applied twice.
+    The least-squares residual after j steps is ||B_c|| / ||z|| for the z
+    with z_0 = 1 and z^T H = 0 (H the (j + 1) x j Hessenberg matrix), built
+    one entry a step; with right preconditioning it is the residual of
+    product(X) = B itself.
+    """
+    m, k = B.shape
+    beta = np.linalg.norm(B, axis=0)
+    V = np.empty((k, _GMRES_CAP + 1, m))  # the Arnoldi basis of each column
+    V[:, 0] = (B / np.where(beta > 0, beta, 1.0)).T
+    H = np.zeros((k, _GMRES_CAP + 1, _GMRES_CAP))
+    z = np.zeros((k, _GMRES_CAP + 1))
+    z[:, 0] = 1.0
+    steps = np.zeros(k, dtype=int)  # the step at which each column converged
+    for j in range(_GMRES_CAP):
+        w = product(precondition(V[:, j].T)).T.copy()
+        for _ in range(2):
+            h = V[:, :j + 1] @ w[:, :, None]
+            w -= (h.transpose(0, 2, 1) @ V[:, :j + 1])[:, 0]
+            H[:, :j + 1, j] += h[:, :, 0]
+        norm = np.linalg.norm(w, axis=1)
+        H[:, j + 1, j] = norm
+        # an exact solve (norm 0) gives an infinite z: its residual is 0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            z[:, j + 1] = -np.einsum("ci,ci->c", z[:, :j + 1], H[:, :j + 1, j]) / norm
+            converged = np.linalg.norm(z[:, :j + 2], axis=1) * _GMRES_TOL >= 1.0
+        steps[(steps == 0) & (converged | (beta == 0))] = j + 1
+        if steps.all():
+            break
+        V[:, j + 1] = w / np.where(norm > 0, norm, 1.0)[:, None]
+    else:
+        return None
+    X = np.empty((m, k))
+    for c, s in enumerate(steps):  # min ||beta_c e_1 - H y|| over y
+        rhs = np.zeros(s + 1)
+        rhs[0] = beta[c]
+        X[:, c] = np.linalg.lstsq(H[c, :s + 1, :s], rhs, rcond=None)[0] @ V[c, :s]
+    return precondition(X)
 
 
 # ------------------------------------------------------------ the schemes

@@ -162,22 +162,28 @@ def _symbol_bracket(c, n_samples):
     m = len(c)
     n_fft = next_fast_len(max(n_samples, 2 * m - 1), real=True)
     k = np.arange(m)
-    gap = np.zeros(n_fft - 2 * m + 1)
     kc = k * c
-    f = rfft(np.concatenate((c, gap, c[:0:-1]))).real
-    df = rfft(np.concatenate((kc, gap, -kc[:0:-1]))).imag  # -2 sum k c_k sin k theta
+    # one padded buffer feeds both FFTs, and each spectrum is dropped as soon
+    # as its real or imaginary part is copied out
+    padded = np.zeros(n_fft)
+    padded[:m], padded[n_fft - m + 1:] = c, c[:0:-1]
+    f = rfft(padded).real.copy()
+    padded[:m], padded[n_fft - m + 1:] = kc, -kc[:0:-1]
+    reach = rfft(padded).imag.copy()  # f' = -2 sum k c_k sin k theta
     delta = np.pi / n_fft
     abs_c = np.abs(c)
     roundoff = _fft_roundoff(n_fft, 2.0 * abs_c.sum() - abs_c[0])
     roundoff += delta * _fft_roundoff(n_fft, 2.0 * np.sum(k * abs_c))
     slack = np.sum(k * np.abs(kc)) * delta**2 + roundoff
-    reach = np.abs(df) * delta
+    np.abs(reach, out=reach)
+    reach *= delta  # |f'| delta
+    bracket = padded[:len(f)]  # f -/+ reach, formed in the spent buffer
     return _SymbolBracket(
         c=c,
         n_fft=n_fft,
         samples=f,
-        lo=float(np.min(f - reach) - slack),
-        hi=float(np.max(f + reach) + slack),
+        lo=float(np.min(np.subtract(f, reach, out=bracket)) - slack),
+        hi=float(np.max(np.add(f, reach, out=bracket)) + slack),
         roundoff=roundoff,
     )
 

@@ -3,6 +3,10 @@ and the block marcher against the stepwise path."""
 
 import contextlib
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -10,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lu_factor, lu_solve, toeplitz
+from scipy.linalg import lu_factor, lu_solve, solve_toeplitz, toeplitz
 
 from tempfrac import solver1d
 from tempfrac.calculus import TemperedParams
@@ -677,6 +681,32 @@ def stage_matrices(alpha, lam_h, M, tau):
     ]
 
 
+def unit_columns(m):
+    E = np.zeros((m, 2))
+    E[0, 0] = E[-1, 1] = 1.0
+    return E
+
+
+def refined_generators(col, row):
+    """T^{-1} e_1 and T^{-1} e_m by a dense solve refined in long double."""
+    T = toeplitz(col, row)
+    E = unit_columns(len(col))
+    lu = lu_factor(T)
+    X = lu_solve(lu, E).astype(np.longdouble)
+    for _ in range(3):
+        X += lu_solve(lu, (E - T.astype(np.longdouble) @ X).astype(float))
+    return X
+
+
+def generator_error(X, ref):
+    """Largest error of each generator relative to its largest entry."""
+    return (np.abs(X - ref).max(axis=0) / np.abs(ref).max(axis=0)).astype(float)
+
+
+def fft_length(m):
+    return solver1d.next_fast_len(2 * m - 1, real=True)
+
+
 @contextlib.contextmanager
 def toeplitz_from(dim):
     """Take the Toeplitz stage path from ``dim`` unknowns on."""
@@ -765,3 +795,84 @@ class TestToeplitzStages:
         with toeplitz_from(10**9):
             want = SOLVERS[side](spec).values
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        alpha=st.floats(1.01, 1.99),
+        lam_h=st.floats(0.0, 1.0),
+        tau=st.floats(1e-6, 1e3),
+        M=st.integers(4, 1000),
+    )
+    def test_accepted_generators_are_never_less_accurate_than_levinson(self, alpha, lam_h, tau, M):
+        for col, row, inverse in stage_matrices(alpha, lam_h, M, tau):
+            if not inverse:
+                continue
+            m = len(col)
+            X = solver1d._krylov_generators(col, row, fft_length(m), unit_columns(m))
+            if X is None:
+                continue
+            ref = refined_generators(col, row)
+            levinson = solve_toeplitz((col, row), unit_columns(m))
+            # within the rounding of the reference where Levinson is exact too
+            assert (generator_error(X, ref)
+                    <= np.maximum(generator_error(levinson, ref), np.finfo(float).eps)).all()
+
+    @pytest.mark.parametrize("m", [600, 601])
+    def test_preconditioner_is_strangs_circulant(self, m):
+        # T circulant is its own Strang circulant: one iteration per GMRES
+        # call solves it exactly, so a mis-indexed column falls back
+        s = np.zeros(m)
+        s[[0, 1, 2, -2, -1]] = 6.0, -1.0, 0.5, 0.25, -2.0
+        col, row = s, np.r_[s[0], s[:0:-1]]
+        with mock.patch.object(solver1d, "_GMRES_CAP", 1), \
+                mock.patch.object(solver1d, "solve_toeplitz", side_effect=AssertionError):
+            x, y = solver1d._generators(col, row, fft_length(m))
+        ref = refined_generators(col, row)
+        assert generator_error(np.column_stack((x, y)), ref).max() <= 2 * np.finfo(float).eps
+
+    def test_wide_grids_never_call_levinson(self):
+        for M in (1600, 3200):
+            for case, side in ((case_ex5_1(1.5, 1.0, j=5), "left"),
+                               (case_ex5_2(1.5, 1.0, j=5), "right"),
+                               (case_ex5_4(1.5, 0.1), "two_sided")):
+                with mock.patch.object(solver1d, "solve_toeplitz", side_effect=AssertionError):
+                    SOLVERS[side](case.build_spec(1.0 / M)(16))
+
+    def test_generators_are_far_more_accurate_than_levinson_on_a_wide_grid(self):
+        # a residual taken in double precision leaves them less accurate
+        col, row, _ = stage_matrices(1.5, 1.0 / 1600, 1600, 1.0 / 16)[0]
+        ref = refined_generators(col, row)
+        x, y = solver1d._generators(col, row, fft_length(len(col)))
+        error = generator_error(np.column_stack((x, y)), ref)
+        levinson = generator_error(solve_toeplitz((col, row), unit_columns(len(col))), ref)
+        assert error.max() <= 4 * np.finfo(float).eps
+        assert (error * 10 <= levinson).all()
+
+    @pytest.mark.parametrize("name,value", [
+        pytest.param("_GMRES_TOL", 0.0, id="gmres-stall"),  # every call runs to the cap
+        pytest.param("_REFINEMENTS", 0, id="unrefined"),  # the residual misses the bound
+        pytest.param("_EXTENDED", np.float64, id="no-long-double"),
+        pytest.param(None, None, id="singular-preconditioner"),
+    ])
+    def test_fallbacks_return_levinsons_generators(self, name, value):
+        m = 999
+        if name is None:  # Strang's circulant of tridiag(-1/2, 1, -1/2) is singular
+            col = row = np.r_[1.0, -0.5, np.zeros(m - 2)]
+        else:
+            col, row, _ = stage_matrices(1.99, 0.0, m + 1, 1e3)[0]
+        patches = contextlib.ExitStack()
+        if name is not None:
+            patches.enter_context(mock.patch.object(solver1d, name, value))
+        with patches, mock.patch.object(solver1d, "solve_toeplitz", wraps=solve_toeplitz) as levinson:
+            x, y = solver1d._generators(col, row, fft_length(m))
+        assert levinson.call_count == 1
+        want = solve_toeplitz((col, row), unit_columns(m), check_finite=False)
+        assert np.array_equal(np.column_stack((x, y)), want)
+
+    def test_import_leaves_scipy_sparse_unloaded(self):
+        src = str(pathlib.Path(solver1d.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        probe = "import sys, tempfrac; print('scipy.sparse' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}, check=True)
+        assert out.stdout.split() == ["False"]

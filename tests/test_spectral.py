@@ -354,3 +354,24 @@ class TestGeneratingFunction:
     def test_corner_mismatch_rejected(self):
         with pytest.raises(ValueError):
             generating_function_range([1.0, 2.0], [3.0, 4.0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        c=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=60),
+        n_samples=st.integers(1, 300),
+    )
+    def test_bracket_samples_are_those_of_the_plain_formula(self, c, n_samples):
+        # the buffer-reusing bracket changes no sample and no end
+        c = np.array(c)
+        m = len(c)
+        n_fft = spectral.next_fast_len(max(n_samples, 2 * m - 1), real=True)
+        k = np.arange(m)
+        gap = np.zeros(n_fft - 2 * m + 1)
+        f = spectral.rfft(np.concatenate((c, gap, c[:0:-1]))).real
+        df = spectral.rfft(np.concatenate((k * c, gap, -(k * c)[:0:-1]))).imag
+        reach = np.abs(df) * (np.pi / n_fft)
+        bracket = spectral._symbol_bracket(c, n_samples)
+        assert np.array_equal(bracket.samples, f)
+        slack = float(np.sum(k * np.abs(k * c)) * (np.pi / n_fft) ** 2 + bracket.roundoff)
+        assert bracket.lo == float(np.min(f - reach) - slack)
+        assert bracket.hi == float(np.max(f + reach) + slack)
