@@ -8,9 +8,8 @@ Four manufactured cases drive the verification harness, one per scheme:
 * ``ex5_3`` - 2D ADI problem on the unit square, t in (0, 1], with
   u = e^{-t - lam1 x - lam2 y} x**4 (1-x) y**4 (1-y),
 * ``ex5_4`` - two-sided splitting problem with u = e^{-t - lam x} x**4 (1-x)**4,
-  whose source needs the conjugated right derivative of the solution: an
-  exponential-times-polynomial series truncated at 50 terms (the tail is far
-  below double precision for the tempering rates of interest).
+  whose source needs the conjugated right derivative of the solution: a sum
+  of Kummer functions 1F1 (DLMF 13.2, https://dlmf.nist.gov/13.2) in closed form.
 
 Each case carries its exact solution, the matching source, and a builder
 mapping a spatial resolution to a ready problem spec.  The sources are
@@ -33,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import hyp1f1
 
 from .calculus import TemperedParams
 from .operators import Grid1D, TimeGrid
@@ -59,11 +59,6 @@ __all__ = [
     "error_norm",
     "run_convergence_study",
 ]
-
-_BINOM4 = (1.0, -4.0, 6.0, -4.0, 1.0)  # (-1)^m * C(4, m)
-# values per chunk of the ex5_4 series; the whole (255, 3201) power array at
-# once raised the peak memory of a 3200-cell solve from 63 to 75 MB
-_SERIES_CHUNK = 2**14
 
 
 def _decay(t):
@@ -103,11 +98,33 @@ def _power_bracket(x, j, alpha, lam):
     )
 
 
+def _case_1d(ident, params, side, exact, traces, profile, solve, T):
+    """A 1D case on (0, 1) with the source e^{-t} profile(x) and the traces
+    ``(boundary_left, boundary_right)``."""
+    tempered = TemperedParams(params["alpha"], params["lam"])
+    source = SeparableSource(profile, _decay)
+
+    def build_spec(h):
+        M = round(1.0 / h)
+        return lambda N: ProblemSpec1D(
+            grid=Grid1D(0.0, 1.0, M),
+            time=TimeGrid(T, N),
+            params=tempered,
+            side=side,
+            initial=lambda x: exact(x, 0.0),
+            boundary_left=traces[0],
+            boundary_right=traces[1],
+            source=source,
+        )
+
+    return ManufacturedCase(ident=ident, params=params, exact=exact, source=source,
+                            build_spec=build_spec, solve=solve, horizon=T)
+
+
 def case_ex5_1(alpha, lam, j=5, T=0.1):
     """Left-sided case with exact solution e^{-t - lam x} x**j on (0, 1)."""
     if j < 1 or int(j) != j:
         raise ValueError(f"exponent j must be a positive integer, got {j}")
-    params = TemperedParams(alpha, lam)
 
     def exact(x, t):
         x = np.asarray(x, dtype=float)
@@ -116,95 +133,24 @@ def case_ex5_1(alpha, lam, j=5, T=0.1):
     def profile(x):
         return -np.exp(-lam * x) * _power_bracket(x, j, alpha, lam)
 
-    source = SeparableSource(profile, _decay)
-
-    def build_spec(h):
-        M = round(1.0 / h)
-        return lambda N: ProblemSpec1D(
-            grid=Grid1D(0.0, 1.0, M),
-            time=TimeGrid(T, N),
-            params=params,
-            side="left",
-            initial=lambda x: exact(x, 0.0),
-            boundary_left=lambda t: 0.0,
-            boundary_right=lambda t: np.exp(-t - lam),
-            source=source,
-        )
-
-    return ManufacturedCase(
-        ident="ex5_1",
-        params={"alpha": alpha, "lam": lam, "j": j},
-        exact=exact,
-        source=source,
-        build_spec=build_spec,
-        solve=solve_left,
-        horizon=T,
-    )
+    return _case_1d("ex5_1", {"alpha": alpha, "lam": lam, "j": j}, "left", exact,
+                    (lambda t: 0.0, lambda t: np.exp(-t - lam)), profile, solve_left, T)
 
 
 def case_ex5_2(alpha, lam, j=5, T=0.1):
     """Right-sided case with exact solution e^{-t + lam x} (1-x)**j on (0, 1)."""
     if j < 1 or int(j) != j:
         raise ValueError(f"exponent j must be a positive integer, got {j}")
-    params = TemperedParams(alpha, lam)
 
     def exact(x, t):
         x = np.asarray(x, dtype=float)
         return np.exp(-t + lam * x) * (1.0 - x) ** j
 
     def profile(x):
-        return -np.exp(lam * x) * (
-            (1.0 - x) ** j
-            + math.gamma(j + 1.0) / math.gamma(1.0 + j - alpha)
-            * np.where(1.0 - x > 0.0, (1.0 - x) ** (j - alpha), 0.0)
-            + alpha * lam ** (alpha - 1.0) * (lam * (1.0 - x) ** j - j * (1.0 - x) ** (j - 1))
-            - lam**alpha * (1.0 - x) ** j
-        )
+        return -np.exp(lam * x) * _power_bracket(1.0 - x, j, alpha, lam)
 
-    source = SeparableSource(profile, _decay)
-
-    def build_spec(h):
-        M = round(1.0 / h)
-        return lambda N: ProblemSpec1D(
-            grid=Grid1D(0.0, 1.0, M),
-            time=TimeGrid(T, N),
-            params=params,
-            side="right",
-            initial=lambda x: exact(x, 0.0),
-            boundary_left=lambda t: np.exp(-t),
-            boundary_right=lambda t: 0.0,
-            source=source,
-        )
-
-    return ManufacturedCase(
-        ident="ex5_2",
-        params={"alpha": alpha, "lam": lam, "j": j},
-        exact=exact,
-        source=source,
-        build_spec=build_spec,
-        solve=solve_right,
-        horizon=T,
-    )
-
-
-def _bracket_2d(s, order, lam):
-    """Conjugated-derivative bracket for e^{-lam s} s**4 (1-s) along one axis.
-
-    Returns the terms multiplying -e^{...} in the manufactured 2D source:
-    (power-rule, advection and normalization terms for s**4 minus those for
-    s**5), without the s**4 (1-s) part that the caller may add.
-    """
-    t4 = (
-        math.gamma(5.0) / math.gamma(5.0 - order) * s ** (4.0 - order)
-        - order * lam ** (order - 1.0) * (4.0 * s**3 - lam * s**4)
-        - lam**order * s**4
-    )
-    t5 = (
-        math.gamma(6.0) / math.gamma(6.0 - order) * s ** (5.0 - order)
-        - order * lam ** (order - 1.0) * (5.0 * s**4 - lam * s**5)
-        - lam**order * s**5
-    )
-    return t4 - t5
+    return _case_1d("ex5_2", {"alpha": alpha, "lam": lam, "j": j}, "right", exact,
+                    (lambda t: np.exp(-t), lambda t: 0.0), profile, solve_right, T)
 
 
 def case_ex5_3(alpha, beta, lam1, lam2, T=1.0):
@@ -218,11 +164,11 @@ def case_ex5_3(alpha, beta, lam1, lam2, T=1.0):
         return np.exp(-t - lam1 * X - lam2 * Y) * X**4 * (1.0 - X) * Y**4 * (1.0 - Y)
 
     def profile(X, Y):
-        xpart = X**4 * (1.0 - X) + _bracket_2d(X, alpha, lam1)
-        ypart = _bracket_2d(Y, beta, lam2)
-        return -np.exp(-lam1 * X - lam2 * Y) * (
-            xpart * Y**4 * (1.0 - Y) + ypart * X**4 * (1.0 - X)
-        )
+        # s**4 (1-s) = s**4 - s**5; both brackets hold phi_x * phi_y, so drop one
+        bx = _power_bracket(X, 4, alpha, lam1) - _power_bracket(X, 5, alpha, lam1)
+        by = _power_bracket(Y, 4, beta, lam2) - _power_bracket(Y, 5, beta, lam2)
+        phi_x, phi_y = X**4 * (1.0 - X), Y**4 * (1.0 - Y)
+        return -np.exp(-lam1 * X - lam2 * Y) * (bx * phi_y + by * phi_x - phi_x * phi_y)
 
     source = SeparableSource(profile, _decay)
 
@@ -250,88 +196,52 @@ def case_ex5_3(alpha, beta, lam1, lam2, T=1.0):
     )
 
 
-def build_example_5_4_source(alpha, lam, x, t, n_terms=50):
-    """Source of the two-sided case, series form truncated at ``n_terms``.
+def _bump_derivative(y, c, alpha):
+    """Riemann-Liouville derivative of order alpha, from 0, of y^4 (1-y)^4 e^{c y}.
 
-    The right-derivative part expands e^{-2 lam x} x^4 (1-x)^4 in powers of
-    (1 - x); each series term uses log-Gamma to keep ratios of large Gamma
-    values in range.  For lam = 0 only the first term survives.  The terms
-    are evaluated a chunk at a time, one power array per chunk of at most
-    _SERIES_CHUNK values, and added in series order, so that an array of
-    nodes gets the values of a term-by-term loop bit for bit.
+    Term by term, D^alpha[y^{4+m} e^{c y}] = Gamma(5+m)/Gamma(5+m-alpha)
+    y^{4+m-alpha} M(5+m, 5+m-alpha, c y) with M = 1F1, but the five terms of
+    (1-y)^4 = sum_m C(4,m) (-y)^m cancel where 1 - y is small (eight digits
+    at c = 40).  Since Gamma(n+1)/Gamma(n+1-alpha) - Gamma(n)/Gamma(n-alpha) =
+    alpha Gamma(n)/Gamma(n+1-alpha), they regroup in powers of 1 - y, where
+    they no longer cancel: y^{4-alpha}/Gamma(9-alpha) times the sum over r of
+    C(4,r) (-1)^r alpha (alpha-1)...(alpha-3+r) Gamma(5+r) (1-y)^r M(5+r, 9-alpha, c y).
+    """
+    total = 0.0
+    for r in range(5):
+        coeff = math.comb(4, r) * (-1) ** r * math.gamma(5.0 + r) * math.prod(
+            alpha - k for k in range(4 - r))
+        total = total + coeff * (1.0 - y) ** r * hyp1f1(5.0 + r, 9.0 - alpha, c * y)
+    return y ** (4.0 - alpha) / math.gamma(9.0 - alpha) * total
+
+
+def build_example_5_4_source(alpha, lam, x, t):
+    """Source of the two-sided case at nodes ``x`` (a float for a scalar) and time ``t``.
+
+    Conjugated by e^{-lam x}, the left derivative of u is that of x^4 (1-x)^4;
+    conjugated by e^{lam (x-2)}, the right one is that of s^4 (1-s)^4 e^{2 lam s}
+    in s = 1 - x.
     """
     x = np.asarray(x, dtype=float)
-    one_m_x = 1.0 - x
-
-    left = x**4 * one_m_x**4 - 2.0 * lam**alpha * x**4 * one_m_x**4
-    for m in range(5):
-        left = left + _BINOM4[m] * math.gamma(5.0 + m) / math.gamma(5.0 + m - alpha) * x ** (
-            4.0 + m - alpha
-        )
-
-    coeffs, exponents = [], []
-    log2lam = math.log(2.0 * lam) if lam > 0.0 else None
-    for jj in range(n_terms + 1 if lam != 0.0 else 1):
-        log_cj = 0.0 if jj == 0 else jj * log2lam - math.lgamma(jj + 1.0)
-        cj = math.exp(log_cj)
-        for m in range(5):
-            coeffs.append(cj * _BINOM4[m] * math.exp(
-                math.lgamma(5.0 + m + jj) - math.lgamma(5.0 + m + jj - alpha)
-            ))
-            exponents.append(jj + 4.0 + m - alpha)
-    coeffs, exponents = np.array(coeffs)[:, None], np.array(exponents)[:, None]
-    # each chunk is added to the running sum, its row 0, in series order:
-    # NumPy sums over axis 0 row by row given two or more columns (a single
-    # column it sums pairwise), so a lone node is doubled
-    base = one_m_x.reshape(1, -1)
-    if base.size == 1:
-        base = np.repeat(base, 2, axis=1)
-    rows = max(1, _SERIES_CHUNK // max(1, base.shape[1]))
-    right = np.zeros_like(base)
-    for start in range(0, len(coeffs), rows):
-        chunk = coeffs[start:start + rows] * base ** exponents[start:start + rows]
-        right = np.concatenate((right, chunk)).sum(axis=0, keepdims=True)
-    right = right[0, :x.size].reshape(x.shape)
-
+    s = 1.0 - x
+    left = (1.0 - 2.0 * lam**alpha) * x**4 * s**4 + _bump_derivative(x, 0.0, alpha)
+    right = _bump_derivative(s, 2.0 * lam, alpha)
     out = -math.exp(-t) * (np.exp(-lam * x) * left + np.exp(lam * (x - 2.0)) * right)
     return float(out) if out.ndim == 0 else out
 
 
-def case_ex5_4(alpha, lam, T=1.0, n_terms=50):
+def case_ex5_4(alpha, lam, T=1.0):
     """Two-sided case with exact solution e^{-t - lam x} x^4 (1-x)^4."""
-    params = TemperedParams(alpha, lam)
 
     def exact(x, t):
         x = np.asarray(x, dtype=float)
         return np.exp(-t - lam * x) * x**4 * (1.0 - x) ** 4
 
     def profile(x):
-        return build_example_5_4_source(alpha, lam, x, 0.0, n_terms=n_terms)
+        return build_example_5_4_source(alpha, lam, x, 0.0)
 
-    source = SeparableSource(profile, _decay)
-
-    def build_spec(h):
-        M = round(1.0 / h)
-        return lambda N: ProblemSpec1D(
-            grid=Grid1D(0.0, 1.0, M),
-            time=TimeGrid(T, N),
-            params=params,
-            side="two_sided",
-            initial=lambda x: exact(x, 0.0),
-            boundary_left=lambda t: 0.0,
-            boundary_right=lambda t: 0.0,
-            source=source,
-        )
-
-    return ManufacturedCase(
-        ident="ex5_4",
-        params={"alpha": alpha, "lam": lam},
-        exact=exact,
-        source=source,
-        build_spec=build_spec,
-        solve=solve_two_sided,
-        horizon=T,
-    )
+    return _case_1d("ex5_4", {"alpha": alpha, "lam": lam}, "two_sided", exact,
+                    (lambda t: 0.0, lambda t: 0.0), profile, solve_two_sided, T)
 
 
 _CASE_BUILDERS = {

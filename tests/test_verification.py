@@ -116,6 +116,86 @@ class TestTimeFunctions:
             np.testing.assert_allclose(trace(t), [trace(s) for s in t.tolist()], rtol=1e-15)
 
 
+class TestSharedBrackets:
+    """Every 1D case is built by one builder and every power rule by one bracket."""
+
+    # the hand-written spec fields of each case: side, traces, initial data
+    _SPECS = {
+        "ex5_1": ("left", lambda t, lam: 0.0, lambda t, lam: np.exp(-t - lam),
+                  lambda x, lam: np.exp(-0.0 - lam * x) * x**3),
+        "ex5_2": ("right", lambda t, lam: np.exp(-t), lambda t, lam: 0.0,
+                  lambda x, lam: np.exp(-0.0 + lam * x) * (1.0 - x) ** 3),
+        "ex5_4": ("two_sided", lambda t, lam: 0.0, lambda t, lam: 0.0,
+                  lambda x, lam: np.exp(-0.0 - lam * x) * x**4 * (1.0 - x) ** 4),
+    }
+
+    @pytest.mark.parametrize("ident", sorted(_SPECS))
+    def test_specs_equal_the_hand_written_ones(self, ident):
+        side, left, right, initial = self._SPECS[ident]
+        alpha, lam, T = 1.5, 0.7, 0.3
+        extra = {} if ident == "ex5_4" else {"j": 3}
+        case = make_case(ident, alpha=alpha, lam=lam, T=T, **extra)
+        spec = case.build_spec(0.05)(12)
+        assert spec.grid == Grid1D(0.0, 1.0, 20)
+        assert spec.time == TimeGrid(T, 12)
+        assert spec.params == TemperedParams(alpha, lam)
+        assert spec.side == side
+        assert spec.source is case.source
+        for t in (0.0, 0.125, np.linspace(0.0, T, 13)):
+            for got, want in ((spec.boundary_left, left), (spec.boundary_right, right)):
+                assert type(got(t)) is type(want(t, lam))
+                assert np.array_equal(got(t), want(t, lam))
+        x = spec.grid.nodes()
+        assert np.array_equal(spec.initial(x), initial(x, lam))
+
+    @pytest.mark.parametrize("j", [1, 2, 5])
+    def test_one_sided_profiles_raise_no_warning(self, j):
+        # the (1-x)**(j - alpha) power of ex5_2 divided by zero at x = 1
+        x = np.linspace(0.0, 1.0, 21)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for case in (case_ex5_1(1.5, 1.0, j=j), case_ex5_2(1.5, 1.0, j=j)):
+                assert np.all(np.isfinite(case.source.profile(x)))
+
+    def test_right_profile_is_the_mirrored_left_bracket(self):
+        x = np.linspace(0.0, 1.0, 41)
+        for alpha in (1.1, 1.5, 1.99):
+            for lam in (0.0, 0.5, 1.0, 3.0):
+                for j in (1, 2, 5):
+                    with np.errstate(divide="ignore"):
+                        want = -np.exp(lam * x) * (
+                            (1.0 - x) ** j
+                            + math.gamma(j + 1.0) / math.gamma(1.0 + j - alpha)
+                            * np.where(1.0 - x > 0.0, (1.0 - x) ** (j - alpha), 0.0)
+                            + alpha * lam ** (alpha - 1.0)
+                            * (lam * (1.0 - x) ** j - j * (1.0 - x) ** (j - 1))
+                            - lam**alpha * (1.0 - x) ** j
+                        )
+                    got = case_ex5_2(alpha, lam, j=j).source.profile(x)
+                    assert np.array_equal(got, want), (alpha, lam, j)
+
+    @staticmethod
+    def _axis_bracket(s, order, lam):
+        """Power-rule, advection and normalization terms of s**4 minus s**5."""
+        t4 = (math.gamma(5.0) / math.gamma(5.0 - order) * s ** (4.0 - order)
+              - order * lam ** (order - 1.0) * (4.0 * s**3 - lam * s**4) - lam**order * s**4)
+        t5 = (math.gamma(6.0) / math.gamma(6.0 - order) * s ** (5.0 - order)
+              - order * lam ** (order - 1.0) * (5.0 * s**4 - lam * s**5) - lam**order * s**5)
+        return t4 - t5
+
+    def test_two_dimensional_profile_matches_the_axis_brackets(self):
+        g = np.linspace(0.0, 1.0, 161)
+        X, Y = np.meshgrid(g, g, indexing="ij")
+        for alpha, beta, lam1, lam2 in ((1.5, 1.5, 0.1, 0.1), (1.2, 1.8, 0.0, 2.0),
+                                        (1.99, 1.01, 3.0, 0.5)):
+            xpart = X**4 * (1.0 - X) + self._axis_bracket(X, alpha, lam1)
+            ypart = self._axis_bracket(Y, beta, lam2)
+            want = -np.exp(-lam1 * X - lam2 * Y) * (
+                xpart * Y**4 * (1.0 - Y) + ypart * X**4 * (1.0 - X))
+            got = case_ex5_3(alpha, beta, lam1, lam2).source.profile(X, Y)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 class TestSeriesSource:
     def test_untempered_series_collapses_to_first_term(self):
         # lam = 0 kills every series term beyond j = 0; compare against the
@@ -130,12 +210,6 @@ class TestSeriesSource:
             right += binom[m] * math.gamma(5 + m) / math.gamma(5 + m - alpha) * (1 - x) ** (4 + m - alpha)
         want = -math.exp(-t) * (left + right)
         assert got == pytest.approx(want, rel=1e-13)
-
-    def test_truncation_tail_negligible(self):
-        # ratio test on (2 lam)^j / j!: the 50th term is far below precision
-        lam = 0.1
-        log_term = 50 * math.log(2 * lam) - math.lgamma(51)
-        assert math.exp(log_term) * math.exp(math.lgamma(59) - math.lgamma(59 - 1.9)) < 1e-16
 
     @staticmethod
     def _series_term_by_term(alpha, lam, x, t, n_terms=50):
@@ -155,18 +229,42 @@ class TestSeriesSource:
                 right = right + coeff * one_m_x ** (jj + 4.0 + m - alpha)
         return -math.exp(-t) * (np.exp(-lam * x) * left + np.exp(lam * (x - 2.0)) * right)
 
-    @pytest.mark.parametrize("nodes", [1, 11, 41, 3201])
-    def test_chunked_series_is_bit_identical_to_the_term_loop(self, nodes):
+    @staticmethod
+    def _normwise(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    @pytest.mark.parametrize("nodes", [1, 11, 3201])
+    def test_closed_form_matches_the_series(self, nodes):
         x = np.linspace(0.0, 1.0, nodes) if nodes > 1 else np.array([0.3])
-        for alpha in (1.1, 1.5, 1.8, 1.99):
+        for alpha in (1.01, 1.1, 1.5, 1.8, 1.99):
             for lam in (0.0, 0.1, 1.0, 3.0):
                 got = build_example_5_4_source(alpha, lam, x, 0.25)
-                assert np.array_equal(got, self._series_term_by_term(alpha, lam, x, 0.25))
+                want = self._series_term_by_term(alpha, lam, x, 0.25)
+                assert got.shape == x.shape
+                assert self._normwise(got, want) < 2e-10, (alpha, lam)
 
-    def test_more_terms_do_not_change_value(self):
-        got50 = build_example_5_4_source(1.5, 0.1, 0.4, 0.0, n_terms=50)
-        got80 = build_example_5_4_source(1.5, 0.1, 0.4, 0.0, n_terms=80)
-        assert got50 == got80
+    def test_scalar_node_gives_a_float(self):
+        got = build_example_5_4_source(1.5, 0.1, 0.4, 0.0)
+        assert type(got) is float
+        assert got == pytest.approx(float(self._series_term_by_term(1.5, 0.1, 0.4, 0.0)), rel=1e-12)
+
+    @pytest.mark.parametrize("nodes", [41, 3201])
+    def test_large_rates_match_the_long_series(self, nodes):
+        # the 50-term series was off by 3e-2 at lam = 20 and by 2.3 at lam = 30
+        x = np.linspace(0.0, 1.0, nodes)
+        for alpha in (1.01, 1.5, 1.99):
+            for lam in (20.0, 30.0):
+                want = self._series_term_by_term(alpha, lam, x, 0.0, n_terms=250)
+                got = build_example_5_4_source(alpha, lam, x, 0.0)
+                assert self._normwise(got, want) < 1e-8, (alpha, lam)
+
+    def test_large_rate_study_errors_decrease(self):
+        # lam * h <= 1 on every level; with the 50-term series the errors
+        # were 5.00e-7, 8.79e-8, 1.94e-7
+        rep = run_convergence_study(case_ex5_4(1.5, 20.0), [0.05, 0.025, 0.0125])
+        errors = rep.errors()
+        assert errors[0] > errors[1] > errors[2]
+        assert errors == pytest.approx([5.8676e-07, 1.7257e-07, 2.7151e-08], rel=1e-3)
 
     def test_matches_oracle_at_sample_point(self):
         alpha, lam, x = 1.5, 0.1, 0.5
