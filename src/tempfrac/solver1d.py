@@ -50,16 +50,18 @@ One marcher then takes one of two paths:
   source marches in blocks of one step, U <- G U + d_n, one matrix-vector
   product a step: the source is still called once per step, and the fields
   of a chunk of steps reach their d_n through one product with the forcing
-  map step(0, stencil(I)), formed once like G.  The history is written in
-  place, row by row.
+  map step(0, stencil(I)), formed once like G, none where they are all
+  zero.  The d_n are written straight into the rows of the history, which
+  the steps then fill in place.
 
 Any non-finite value, or a sup-norm beyond 1e30, aborts with
 :class:`BlowupError` carrying the failing step index; that is the diagnostic
 the stability experiments rely on, so overflow is never masked.  A block is
 accepted only when its endpoint is finite and a precomputed bound shows that
-no step inside it can have come near the limit; otherwise it is replayed
-stepwise, so the index is exact on both paths.  Runs share no mutable state
-and may execute concurrently.
+no step inside it can have come near the limit, and a chunk of one-step
+blocks only when all of its states are finite and well inside the limit;
+otherwise it is replayed stepwise, so the index is exact on every path.
+Runs share no mutable state and may execute concurrently.
 """
 
 from __future__ import annotations
@@ -147,7 +149,10 @@ class ProblemSpec1D:
     t to the traces at x = a and x = b; ``source`` maps (x, t) to f and must
     accept a vector of nodes.  A :class:`SeparableSource` lets long runs march
     in blocks of steps; a plain callable is evaluated once per step, and a
-    long run with it still steps on the compiled G, one product a step.  A
+    long run with it, or with a stored history, still steps on the compiled
+    G: one matrix-vector product a step, the states checked once per chunk
+    of steps, and forcing that is exactly zero free (about 15 us a step at
+    199 unknowns on 2 cores, 2-3 us of it in the source).  A
     trace that also accepts an array of times is called once per run for
     all the time levels, otherwise once per level.  ``side`` selects the
     scheme.
@@ -275,7 +280,9 @@ def _march(step, stages, U, time, terms, history=None, factors=None, toeplitz_st
     Where the price of _block_steps says a dense L pays, a run whose terms
     are all scalar-times-vector marches in blocks of steps; a vector state
     with a general term or a history marches in blocks of one step, each a
-    product with L = G.  ``toeplitz_stages`` marks steps served through
+    product with L = G, in chunks of steps whose states are checked once a
+    chunk and whose exactly-zero forcing costs no product (see
+    _march_blocks).  ``toeplitz_stages`` marks steps served through
     their Toeplitz structure (see _toeplitz_map): their O(m log m) solves
     beat any dense G, so those runs always take the stages.
     """
@@ -320,16 +327,22 @@ def _march(step, stages, U, time, terms, history=None, factors=None, toeplitz_st
     # than the state
     maps = [step(np.zeros((m, m + 2)), term.stencil(np.eye(m + 2))).T for term in general]
 
-    def general_forcing(start, stop):
+    def general_forcing(start, stop, rows):
         # one row a step: each term's nodal fields stacked as rows, one
-        # product with its map
-        return sum(np.array([term.fn((n + term.shift) * tau) for n in range(start, stop)]) @ mapT
-                   for term, mapT in zip(general, maps))
+        # product with its map unless they are all zero
+        for term, mapT in zip(general, maps):
+            fields = np.array([term.fn((n + term.shift) * tau) for n in range(start, stop)])
+            if fields.any():
+                rows += fields @ mapT
 
     # a chunk of fields stays below 2^19 multiply-adds in its product, up to
     # which OpenBLAS keeps a product on one thread: on 2 cores shared with
     # other load, a threaded 64-row product between the steps waited some
-    # 2.5 ms for its second thread, against 0.2 ms for the whole product
+    # 2.5 ms for its second thread, against 0.2 ms for the whole product.
+    # One product for the whole run (2000 x 201 @ 201 x 199) is no cheaper:
+    # it wakes the threaded pool, and four such history runs at 199 unknowns
+    # took 0.20-0.22 s against 0.16 s in chunks, a later symbol check
+    # 25-31 ms against 21-23 ms, with 10 MB more peak memory
     chunk = max(1, min(_BLOCK, 2**19 // (m * (m + 2))))
     return _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history,
                          general_forcing if general else None, chunk)
@@ -389,10 +402,20 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
     of k steps maps U to L^k U (R^k)^T plus the sum over its steps i and
     terms t of samples[n + i, t] L^(k-1-i) D_t (R^(k-1-i))^T, one product of
     the block's samples, last step first, with the head of the forcing
-    stack (see _forcing_stack).  Blocks of one step have their forcing
-    formed ``chunk`` at a time, to which ``general(start, stop)`` adds that
-    of the general terms of those steps, one row a step; row n + 1 of
-    ``history`` receives the state after step n.
+    stack (see _forcing_stack).
+
+    Blocks of one step (K = 1, a vector state) go ``chunk`` steps at a time.
+    The forcing of a chunk, one product of its samples with the D_t, to
+    which ``general(start, stop, rows)`` adds that of the general terms of
+    those steps, is written into its rows of ``history`` (or of one scratch
+    buffer), row n + 1 for step n; each step is then row += L @ previous
+    row, and the chunk's states are checked once, all rows together.  A
+    chunk whose rows are not all finite and within _BLOCK_LIMIT is replayed
+    by ``stepwise``, which rewrites its rows and raises at the exact step.
+    Forcing that is exactly zero costs no product.  A homogeneous run with a
+    stored history and a plain zero source at 199 unknowns costs about
+    15 us a step on 2 cores: some 8 us of matrix-vector product, 2-3 us in
+    the source, which is still called once per step, and the rest Python.
     """
     N, T = samples.shape
     shape = U.shape
@@ -405,6 +428,29 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
         D = step(np.zeros((m, T)), [np.column_stack(v) for v in per_stage])[:, :, None]
     else:
         D = np.stack([step(np.zeros(shape), list(v)) for v in zip(*per_stage)], axis=1)
+
+    if K == 1:
+        DT = np.ascontiguousarray(D[:, :, 0].T)
+        scratch = np.empty((min(chunk, N), m)) if history is None else None
+        for start in range(0, N, chunk):
+            stop = min(start + chunk, N)
+            rows = scratch[:stop - start] if history is None else history[start + 1:stop + 1]
+            g = samples[start:stop]
+            if g.any():
+                np.matmul(g, DT, out=rows)
+            else:
+                rows[...] = 0.0
+            if general is not None:
+                general(start, stop, rows)
+            with np.errstate(over="ignore", invalid="ignore"):
+                previous = U
+                for row in rows:
+                    row += L @ previous
+                    previous = row
+                accepted = np.abs(rows).max() <= _BLOCK_LIMIT  # False for inf or NaN
+            U = rows[-1].copy() if accepted else stepwise(U, start, stop)
+        return U
+
     # L^(2^i) and R^(2^i) for every bit of K; since
     # ||L V R^T||_max <= ||L||_inf ||V||_max ||R||_inf, the product of their
     # norms (at least 1 each) bounds the growth of any j <= K steps.  An
@@ -435,30 +481,20 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
         bounds = forcing_bound[n:n + blocks * k].reshape(blocks, k).sum(axis=1).tolist()
         # the samples of each block, last step first, read against the stack
         g = samples[n:n + blocks * k].reshape(blocks, k, T)[:, ::-1].reshape(blocks, k * T)
-        size = chunk if k == 1 else 1  # blocks whose forcing is formed at once
-        for first in range(0, blocks, size):
-            block_bounds = bounds[first:first + size]
-            c = len(block_bounds)
-            # row j of F is the forcing of a block, transposed (see _forcing_stack)
-            F = (g[first:first + c] @ Wk).reshape(c, *shape[::-1])
-            if general is not None:
-                fields = general(n, n + c)
-                F += fields
-                block_bounds = (np.abs(fields).max(axis=1) + block_bounds).tolist()
-            for f, block_bound in zip(F, block_bounds):
-                accepted = False
-                if gamma * (u_norm + block_bound) <= _BLOCK_LIMIT:
-                    V = (Lk @ U if vector else Lk @ U @ RkT) + f.T
-                    v_norm = abs(V).max()
-                    accepted = v_norm <= _BLOCK_LIMIT
-                if accepted:
-                    U, u_norm = V, v_norm
-                    if history is not None:
-                        history[n + k] = U
-                else:
-                    U = stepwise(U, n, n + k)
-                    u_norm = abs(U).max()
-                n += k
+        for i, block_bound in enumerate(bounds):
+            accepted = False
+            if gamma * (u_norm + block_bound) <= _BLOCK_LIMIT:
+                # the block's forcing, transposed (see _forcing_stack)
+                f = (g[i:i + 1] @ Wk).reshape(shape[::-1])
+                V = (Lk @ U if vector else Lk @ U @ RkT) + f.T
+                v_norm = abs(V).max()
+                accepted = v_norm <= _BLOCK_LIMIT
+            if accepted:
+                U, u_norm = V, v_norm
+            else:
+                U = stepwise(U, n, n + k)
+                u_norm = abs(U).max()
+            n += k
     return U
 
 

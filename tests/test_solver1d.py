@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve, solve_toeplitz, toeplitz
 
@@ -499,6 +499,133 @@ class TestBlockMarching:
         for forcing in ([], [0.0], [0.0, 0.0, 0.0]):
             with pytest.raises(ValueError):
                 solver1d._apply_stages(stages, U, forcing)
+
+
+def chunk_steps(m):
+    """Steps of one chunk of the compiled-G march at m unknowns (see _march)."""
+    return max(1, min(solver1d._BLOCK, 2**19 // (m * (m + 2))))
+
+
+def polynomial_spec(side, u, p, M=12, N=150):
+    """Initial data x (1 - x) poly(u) and the plain source cos(t) poly(p)."""
+    return ProblemSpec1D(
+        grid=Grid1D(0.0, 1.0, M), time=TimeGrid(0.1, N),
+        params=TemperedParams(1.6, 2.0), side=side,
+        initial=lambda x: x * (1.0 - x) * np.polyval(u, x),
+        boundary_left=ZERO, boundary_right=ZERO,
+        source=lambda x, t: math.cos(t) * np.polyval(p, x),
+    )
+
+
+class TestChunkMarching:
+    """Blocks of one step on the compiled G: forcing written into the rows,
+    one product a step, one check a chunk."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        side=st.sampled_from(["left", "right"]),
+        plain=st.booleans(),
+        alpha=st.floats(1.05, 1.95),
+        M=st.integers(200, 230),
+        N=st.integers(2, 60),
+    )
+    def test_history_at_full_chunks_equals_stepwise_history(self, side, plain, alpha, M, N):
+        # from 199 unknowns a chunk is at most 13 steps, so a run spans
+        # several chunks and ends in a partial one.  Two-sided runs are left
+        # out: at this size their compiled G, a product through the explicit
+        # half-step of 2-norm up to 1e5, is itself off by up to 3e-12
+        assume(N % chunk_steps(M - 1))
+        spec = manufactured_spec(side, alpha, M, N)
+        if plain:
+            spec = plain_source(spec)
+        with block_steps(1):
+            ref = SOLVERS[side](spec, store_history=True).history
+        with block_steps(64), mock.patch.object(solver1d, "_march_blocks",
+                                                wraps=solver1d._march_blocks) as blocks:
+            got = SOLVERS[side](spec, store_history=True).history
+        assert blocks.call_count == 1
+        assert blocks.call_args.args[5] == 1
+        scale = np.max(np.abs(ref), axis=1)
+        assert np.all(np.max(np.abs(got - ref), axis=1) <= 1e-12 * scale)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        side=st.sampled_from(sorted(SOLVERS)),
+        a=COEFFICIENTS,
+        b=COEFFICIENTS,
+        seed=st.integers(0, 2**16),
+    )
+    def test_history_is_linear_in_initial_and_plain_source(self, side, a, b, seed):
+        rng = np.random.default_rng(seed)
+        (u1, u2), (p1, p2) = rng.standard_normal((2, 2, 4))
+        with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
+            h1 = SOLVERS[side](polynomial_spec(side, u1, p1), store_history=True).history
+            h2 = SOLVERS[side](polynomial_spec(side, u2, p2), store_history=True).history
+            combined = SOLVERS[side](polynomial_spec(side, a * u1 + b * u2, a * p1 + b * p2),
+                                     store_history=True).history
+        assert blocks.call_count == 3
+        scale = abs(a) * np.max(np.abs(h1)) + abs(b) * np.max(np.abs(h2))
+        assert np.max(np.abs(combined - (a * h1 + b * h2))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("side", sorted(SOLVERS))
+    def test_zero_data_with_a_plain_source_keeps_a_zero_history(self, side):
+        with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
+            sol = SOLVERS[side](zero_spec(side, N=100), store_history=True)
+        assert blocks.call_count == 1
+        assert np.array_equal(sol.history, np.zeros((101, 11)))
+
+    def test_replayed_chunk_that_stays_finite_keeps_every_row(self):
+        # one step's source drives the state past _BLOCK_LIMIT but not past
+        # _BLOWUP_LIMIT: its chunk is replayed stepwise, raises nothing, and
+        # the chunks after it resume from the replayed state
+        spec = case_ex5_1(1.5, 1.0, j=5, T=1.0).build_spec(0.1)(200)
+        tau = spec.time.tau
+        spike = lambda x, t: np.full_like(x, 3e26 if abs(t - 20 * tau) < 0.5 * tau else 0.0)
+        spec = ProblemSpec1D(**{**spec.__dict__, "source": spike})
+        with block_steps(1):
+            ref = solve_left(spec, store_history=True).history
+        with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
+            got = solve_left(spec, store_history=True).history
+        assert blocks.call_count == 1
+        peak = np.max(np.abs(ref), axis=1)
+        assert solver1d._BLOCK_LIMIT < peak.max() < solver1d._BLOWUP_LIMIT
+        assert peak[-1] < solver1d._BLOCK_LIMIT  # the last chunks are accepted
+        assert len(ref) > 2 * chunk_steps(9)
+        assert np.all(np.max(np.abs(got - ref), axis=1) <= 1e-12 * peak)
+
+    @pytest.mark.parametrize("variant", ["history", "plain history"])
+    def test_blowup_on_G_leaks_no_floating_point_warning(self, variant):
+        spec = case_ex5_1(1.9, 50.0, j=5).build_spec(0.1)(100)
+        if "plain" in variant:
+            spec = plain_source(spec)
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(BlowupError) as err:
+            warnings.simplefilter("always")
+            solve_left(spec, store_history=True)
+        assert err.value.step == 69
+        assert [str(w.message) for w in caught] == [
+            "lam*h = 5 > 1: the implicit schemes may be unstable"]
+
+    def test_growth_inside_a_chunk_is_replayed(self):
+        # a nilpotent step carries the state past the blowup limit at step 1
+        # and back to zero at step 2: only the check of every row of the
+        # chunk, not of its last, sends it back to the stages
+        jump = np.array([[0.0, 1e31], [0.0, 0.0]])
+        terms = (solver1d._Term(ZERO, 0.0, (np.zeros(2),)),)
+        with block_steps(64), pytest.raises(BlowupError) as err:
+            solver1d._march(lambda U, f: jump @ U + f[0], 1, np.array([0.0, 1.0]),
+                            TimeGrid(1.0, 2), terms, history=np.empty((3, 2)))
+        assert err.value.step == 1
+
+    def test_overflowing_chunk_leaks_no_floating_point_warning(self):
+        # G = 1e200 I overflows to inf at the chunk's second step and to NaN
+        # (0 * inf) at its third; the replay raises at the first
+        U0 = np.ones(3)
+        terms = (solver1d._Term(ZERO, 0.0, (np.zeros(3),)),)
+        with block_steps(64), warnings.catch_warnings(), pytest.raises(BlowupError) as err:
+            warnings.simplefilter("error")
+            solver1d._march(lambda U, f: 1e200 * U + f[0], 1, U0, TimeGrid(1.0, 10), terms,
+                            history=np.empty((11, 3)))
+        assert err.value.step == 1
 
 
 class TestForcingSamples:
