@@ -3,11 +3,18 @@
 The wheels of NumPy and SciPy each bundle an OpenBLAS, each with a pool of
 one worker per core.  After a call a pool's workers keep spinning for a
 while before they sleep, so code that alternates the two libraries, as the
-2D sweeps do (SciPy's LU factors and solves, NumPy's matrix products), runs
-each threaded call on cores the other pool's idle workers still hold.  On
-a shared 2-core x86-64 host, a ``solve_adi`` at M = 160 (N = 100) took a
-median 0.088 s a call with the default pools (quartiles 0.070 and 0.147 s
-over 63 calls) and 0.041 s with one thread (quartiles 0.040 and 0.043 s).
+2D march does (SciPy's LU factors and solves, which form its factors and
+map its forcing, and NumPy's matrix products), runs each threaded call on
+cores the other pool's idle workers still hold.  On a shared 2-core x86-64
+host, a ``solve_adi`` at M = 160 (N = 100) took a median 0.088 s a call
+with the default pools (quartiles 0.070 and 0.147 s over 63 calls) and
+0.041 s with one thread (quartiles 0.040 and 0.043 s), then on the LU
+sweeps; on the compiled step, 0.025-0.071 s capped and 0.039-0.81 s not
+(8 alternating calls each).  Where a run steps one step at a time, two
+NumPy products a step, the cap costs little and guards against a loaded
+host: at M = 320, N = 100 a solve took 0.31-0.44 s capped and 0.29-0.38 s
+not in one measurement, and 0.41-0.52 s capped and 2.5-3.8 s not in
+another, with a second process loading the other core.
 
 :func:`single_thread` caps every OpenBLAS loaded in the process at one
 thread and restores the previous counts on exit.  The counts are process

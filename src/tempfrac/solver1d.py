@@ -39,10 +39,11 @@ a pair that fails to certify its residual is replaced by Levinson's
 (O(m^2)).  All of them act column by column on matrices.
 One marcher then takes one of two paths:
 
-* stepwise: the stages of the scheme, one step at a time.  This is the
-  reference path, and the only one for runs too short for a dense G to pay,
-  for the generator + FFT stages (whose O(m log m) step beats a product
-  with a dense G) and for 2D runs with a plain-callable source;
+* stepwise: the step itself, one step at a time: the stages of a 1D
+  scheme, the compiled L U R^T + f of the 2D one.  This is the reference
+  path, and the only one for runs too short for a dense G to pay, for the
+  generator + FFT stages (whose O(m log m) step beats a product with a
+  dense G) and for 2D runs with a plain-callable source;
 * block: K steps at once on an (m, r) state, U <- L^K U (R^K)^T + W g, with
   the powers and the terms L^j D (R^j)^T of W precomputed and g holding the
   K temporal samples of each term.  A vector state is the case r = 1,
@@ -52,15 +53,16 @@ One marcher then takes one of two paths:
   of a chunk of steps reach their d_n through one product with the forcing
   map step(0, stencil(I)), formed once like G, none where they are all
   zero.  The d_n are written straight into the rows of the history, which
-  the steps then fill in place.
+  the steps then fill in place.  One loop serves every block size: the
+  blocks go in chunks, each chunk's forcing one product, its states
+  checked once.
 
 Any non-finite value, or a sup-norm beyond 1e30, aborts with
 :class:`BlowupError` carrying the failing step index; that is the diagnostic
-the stability experiments rely on, so overflow is never masked.  A block is
-accepted only when its endpoint is finite and a precomputed bound shows that
-no step inside it can have come near the limit, and a chunk of one-step
-blocks only when all of its states are finite and well inside the limit;
-otherwise it is replayed stepwise, so the index is exact on every path.
+the stability experiments rely on, so overflow is never masked.  A chunk of
+blocks is accepted only when its endpoints are finite and a precomputed
+bound shows that no step inside it can have come near the limit; otherwise
+it is replayed stepwise, so the index is exact on every path.
 Runs share no mutable state and may execute concurrently.
 """
 
@@ -155,7 +157,8 @@ class ProblemSpec1D:
     199 unknowns on 2 cores, 2-3 us of it in the source).  A
     trace that also accepts an array of times is called once per run for
     all the time levels, otherwise once per level.  ``side`` selects the
-    scheme.
+    scheme.  ``initial``, a plain ``source`` and a separable source's
+    profile return one value per node or a scalar, constant on the nodes.
     """
 
     grid: Grid1D
@@ -192,7 +195,7 @@ def _warn_corner_mismatch(spec):
         (spec.grid.a, spec.boundary_left, "left"),
         (spec.grid.b, spec.boundary_right, "right"),
     ):
-        if abs(float(u0(x)) - float(fn(0.0))) > 1e-10:
+        if abs(_field(u0, "the initial data", (), x) - float(fn(0.0))) > 1e-10:
             warnings.warn(
                 f"initial data and {name} boundary trace disagree at the corner",
                 RuntimeWarning,
@@ -232,13 +235,26 @@ class _Term:
     stencil: Optional[Callable] = None
 
 
+def _field(fn, name, shape, *args):
+    """fn(*args) as a float array of the node shape ``shape``: a scalar is
+    broadcast to it, and any other shape raises a ValueError naming ``name``."""
+    value = np.asarray(fn(*args), dtype=float)
+    if value.shape == shape:
+        return value
+    if value.ndim:
+        raise ValueError(f"{name} has shape {value.shape}; expected a scalar or shape {shape}")
+    return np.full(shape, value)
+
+
 def _source_term(source, space, shift, stencil):
     """Forcing term of ``source`` on the nodes ``space``; ``stencil`` maps a
     nodal field to the per-stage forcing vectors."""
+    shape = np.shape(space[0])
     if isinstance(source, SeparableSource):
-        profile = np.asarray(source.profile(*space), dtype=float)
+        profile = _field(source.profile, "the source profile", shape, *space)
         return _Term(source.temporal, shift, stencil(profile))
-    return _Term(lambda t: np.asarray(source(*space, t), dtype=float), shift, stencil=stencil)
+    return _Term(functools.partial(_field, source, "the source", shape, *space), shift,
+                 stencil=stencil)
 
 
 def _block_steps(m, N, r=1, terms=1):
@@ -248,14 +264,15 @@ def _block_steps(m, N, r=1, terms=1):
     Forming the factors L, R and their powers costs about 32 (m^3 + r^3)
     flops.  Each block step saves the per-step overhead (some 40 us) and the
     flops of a stepwise step: 2 m^2 for a vector state (r = 1, one LU solve)
-    and 4 m r (m + r) in 2D (two dense products, two LU sweeps).  At 0.5 ns
+    and 2 m r (m + r) in 2D (the two dense products of L U R^T).  At 0.5 ns
     per flop the block path pays when N (4e4 + half those flops) >=
-    16 (m^3 + r^3), which in 2D means from about 8 steps; measured on 2
-    cores, the 2D block path wins from 4 to 8 steps at m = r = 9 to 239.
+    16 (m^3 + r^3), which in 2D means from about 12 to 16 steps at
+    m = r = 39 to 239; measured on 2 cores (best of 5), the 2D block path
+    breaks even with the stepwise one between 8 and 32 steps there.
     A block is the largest power of two up to _BLOCK steps whose forcing
     stack, K terms m r floats, fits in _BLOCK_FLOATS.
     """
-    saved = m * m if r == 1 else 2 * m * r * (m + r)
+    saved = m * m if r == 1 else m * r * (m + r)
     if N * (4e4 + saved) < 16.0 * (m**3 + r**3):
         return 1
     K = _BLOCK
@@ -278,13 +295,13 @@ def _march(step, stages, U, time, terms, history=None, factors=None, toeplitz_st
     state after n steps.
 
     Where the price of _block_steps says a dense L pays, a run whose terms
-    are all scalar-times-vector marches in blocks of steps; a vector state
-    with a general term or a history marches in blocks of one step, each a
-    product with L = G, in chunks of steps whose states are checked once a
-    chunk and whose exactly-zero forcing costs no product (see
-    _march_blocks).  ``toeplitz_stages`` marks steps served through
-    their Toeplitz structure (see _toeplitz_map): their O(m log m) solves
-    beat any dense G, so those runs always take the stages.
+    are all scalar-times-vector marches in blocks of steps, and a vector
+    state with a general term or a history in blocks of one step, each a
+    product with L = G (see _march_blocks).  ``toeplitz_stages`` marks steps
+    served through their Toeplitz structure (see _toeplitz_map): their
+    O(m log m) solves beat any dense G, so those runs always take the
+    stages.  A matrix state with a general term steps on ``step`` itself,
+    which in 2D is the compiled L U R^T + f.
     """
     N, tau = time.N, time.tau
     scalar = [term for term in terms if term.vectors is not None]
@@ -335,17 +352,8 @@ def _march(step, stages, U, time, terms, history=None, factors=None, toeplitz_st
             if fields.any():
                 rows += fields @ mapT
 
-    # a chunk of fields stays below 2^19 multiply-adds in its product, up to
-    # which OpenBLAS keeps a product on one thread: on 2 cores shared with
-    # other load, a threaded 64-row product between the steps waited some
-    # 2.5 ms for its second thread, against 0.2 ms for the whole product.
-    # One product for the whole run (2000 x 201 @ 201 x 199) is no cheaper:
-    # it wakes the threaded pool, and four such history runs at 199 unknowns
-    # took 0.20-0.22 s against 0.16 s in chunks, a later symbol check
-    # 25-31 ms against 21-23 ms, with 10 MB more peak memory
-    chunk = max(1, min(_BLOCK, 2**19 // (m * (m + 2))))
     return _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history,
-                         general_forcing if general else None, chunk)
+                         general_forcing if general else None)
 
 
 def _sample(terms, N, tau):
@@ -394,28 +402,36 @@ def _sample_run(fn, first, count, tau):
     return np.fromiter((fn((j + first) * tau) for j in range(count)), float, count)
 
 
-def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, general, chunk):
-    """Blocks of K steps, then one block of the N mod K steps left over.
+def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, general):
+    """Blocks of K steps, then one block of the N mod K steps left over,
+    all by one loop; ``stepwise`` is the reference it falls back on.
 
     With (L, R) = factors() a step maps the (m, r) state U to
     L U R^T + sum_t c_t D_t, where D_t = step(0, vectors of term t).  A block
     of k steps maps U to L^k U (R^k)^T plus the sum over its steps i and
-    terms t of samples[n + i, t] L^(k-1-i) D_t (R^(k-1-i))^T, one product of
-    the block's samples, last step first, with the head of the forcing
-    stack (see _forcing_stack).
+    terms t of samples[n + i, t] L^(k-1-i) D_t (R^(k-1-i))^T, one row of the
+    product of the block's samples, last step first, with the head of the
+    forcing stack (see _forcing_stack).  A block of one step is the case
+    k = 1, whose head is D^T: the only block size of a run with a stored
+    history (K = 1, one row a step) or with general terms, whose forcing
+    ``general(start, stop, rows)`` adds to the rows of those steps.
 
-    Blocks of one step (K = 1, a vector state) go ``chunk`` steps at a time.
-    The forcing of a chunk, one product of its samples with the D_t, to
-    which ``general(start, stop, rows)`` adds that of the general terms of
-    those steps, is written into its rows of ``history`` (or of one scratch
-    buffer), row n + 1 for step n; each step is then row += L @ previous
-    row, and the chunk's states are checked once, all rows together.  A
-    chunk whose rows are not all finite and within _BLOCK_LIMIT is replayed
-    by ``stepwise``, which rewrites its rows and raises at the exact step.
-    Forcing that is exactly zero costs no product.  A homogeneous run with a
-    stored history and a plain zero source at 199 unknowns costs about
-    15 us a step on 2 cores: some 8 us of matrix-vector product, 2-3 us in
-    the source, which is still called once per step, and the rest Python.
+    The blocks go a chunk at a time (see _chunk_blocks).  A chunk's forcing
+    is one product, none where its samples are all zero, written into its
+    rows of ``history`` or of one scratch buffer; each block then adds
+    L^k (previous state) (R^k)^T into its row.  With gamma, the product of
+    the infinity norms of the powers of L and R, bounding the growth of any
+    j <= K steps, the chunk is accepted only when every block's endpoint is
+    finite and within _BLOCK_LIMIT and so is gamma (|state before| + the
+    sup-norm bound of the block's forcing): no step inside a block can then
+    have come near the limit.  For k = 1 the endpoint is the block's only
+    state and its test would do alone; the bound then sends back only a
+    chunk whose states came within a factor gamma of the limit.  A chunk
+    that fails is replayed from its start by ``stepwise``, which rewrites
+    its rows and raises at the exact step.  A homogeneous run with a stored
+    history and a plain zero source at 199 unknowns costs about 15 us a
+    step on 2 cores: some 8 us of matrix-vector product, 2-3 us in the
+    source, which is still called once per step, and the rest Python.
     """
     N, T = samples.shape
     shape = U.shape
@@ -428,28 +444,6 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
         D = step(np.zeros((m, T)), [np.column_stack(v) for v in per_stage])[:, :, None]
     else:
         D = np.stack([step(np.zeros(shape), list(v)) for v in zip(*per_stage)], axis=1)
-
-    if K == 1:
-        DT = np.ascontiguousarray(D[:, :, 0].T)
-        scratch = np.empty((min(chunk, N), m)) if history is None else None
-        for start in range(0, N, chunk):
-            stop = min(start + chunk, N)
-            rows = scratch[:stop - start] if history is None else history[start + 1:stop + 1]
-            g = samples[start:stop]
-            if g.any():
-                np.matmul(g, DT, out=rows)
-            else:
-                rows[...] = 0.0
-            if general is not None:
-                general(start, stop, rows)
-            with np.errstate(over="ignore", invalid="ignore"):
-                previous = U
-                for row in rows:
-                    row += L @ previous
-                    previous = row
-                accepted = np.abs(rows).max() <= _BLOCK_LIMIT  # False for inf or NaN
-            U = rows[-1].copy() if accepted else stepwise(U, start, stop)
-        return U
 
     # L^(2^i) and R^(2^i) for every bit of K; since
     # ||L V R^T||_max <= ||L||_inf ||V||_max ||R||_inf, the product of their
@@ -473,29 +467,63 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
     n = 0
     u_norm = abs(U).max()
     for k in (K, N % K):
-        if k == 0 or n + k > N:
+        blocks = (N - n) // k if k else 0
+        if not blocks:
             continue
         Lk, Rk = _block_power(powers, k)
         RkT, Wk = Rk.T, W[:k * T]
-        blocks = (N - n) // k
-        bounds = forcing_bound[n:n + blocks * k].reshape(blocks, k).sum(axis=1).tolist()
+        bounds = forcing_bound[n:n + blocks * k].reshape(blocks, k).sum(axis=1)
         # the samples of each block, last step first, read against the stack
         g = samples[n:n + blocks * k].reshape(blocks, k, T)[:, ::-1].reshape(blocks, k * T)
-        for i, block_bound in enumerate(bounds):
-            accepted = False
-            if gamma * (u_norm + block_bound) <= _BLOCK_LIMIT:
-                # the block's forcing, transposed (see _forcing_stack)
-                f = (g[i:i + 1] @ Wk).reshape(shape[::-1])
-                V = (Lk @ U if vector else Lk @ U @ RkT) + f.T
-                v_norm = abs(V).max()
-                accepted = v_norm <= _BLOCK_LIMIT
-            if accepted:
-                U, u_norm = V, v_norm
+        # the widest product of a chunk: its samples through the stack head,
+        # or the m + 2 nodal values of a general term's field through its map
+        chunk = _chunk_blocks(m, max(k * T * r, m + 2 if general else 1))
+        scratch = np.empty((min(chunk, blocks), m * r)) if history is None else None
+        for first in range(0, blocks, chunk):
+            last = min(first + chunk, blocks)
+            start, stop = n + first * k, n + last * k
+            rows = scratch[:last - first] if history is None else history[start + 1:stop + 1]
+            if g[first:last].any():
+                np.matmul(g[first:last], Wk, out=rows)
             else:
-                U = stepwise(U, n, n + k)
+                rows[...] = 0.0
+            if general is not None:
+                general(start, stop, rows)
+            # a row holds its block's state transposed (see _forcing_stack)
+            states = rows if vector else rows.reshape(-1, r, m).transpose(0, 2, 1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                previous = U
+                for state in states:
+                    state += Lk @ previous if vector else Lk @ previous @ RkT
+                    previous = state
+                ends = np.abs(rows).max(axis=1)
+                before = np.concatenate(([u_norm], ends[:-1]))
+                # False for inf or NaN, which np.maximum keeps
+                accepted = (np.maximum(ends, gamma * (before + bounds[first:last]))
+                            <= _BLOCK_LIMIT).all()
+            if accepted:
+                U, u_norm = previous.copy(), ends[-1]
+            else:
+                U = stepwise(U, start, stop)
                 u_norm = abs(U).max()
-            n += k
+        n += blocks * k
     return U
+
+
+def _chunk_blocks(m, width):
+    """Blocks of one chunk, for m unknowns and forcing products of ``width``
+    multiply-adds a block and unknown: as many as keep each product of a
+    chunk below 2^19 multiply-adds, and at most _BLOCK.
+
+    Up to 2^19 OpenBLAS keeps a product on one thread: on 2 cores shared
+    with other load, a threaded 64-row product between the steps waited some
+    2.5 ms for its second thread, against 0.2 ms for the whole product.  One
+    product for the whole run (2000 x 201 @ 201 x 199) is no cheaper: it
+    wakes the threaded pool, and four such history runs at 199 unknowns took
+    0.20-0.22 s against 0.16 s in chunks, a later symbol check 25-31 ms
+    against 21-23 ms, with 10 MB more peak memory.
+    """
+    return max(1, min(_BLOCK, 2**19 // (m * width)))
 
 
 def _block_power(powers, k):
@@ -539,7 +567,7 @@ def _forcing_stack(powers, D, k):
 
 def _solve(spec, stages, terms, store_history):
     grid, time = spec.grid, spec.time
-    U0 = np.asarray(spec.initial(grid.interior()), dtype=float)
+    U0 = _field(spec.initial, "the initial data", (grid.M - 1,), grid.interior())
     history = None
     if store_history:  # the march fills the interior columns in place
         history = np.empty((time.N + 1, grid.M + 1))

@@ -12,20 +12,21 @@ with P assembled without the tau factor and S the compact-filtered source,
 including its boundary-ring samples (the full stencil reaches one node past
 each edge; without those samples the scheme loses its spatial order).  Both
 directional factorizations are computed once per run from dense B and P
-(the grids stay small enough for dense sweeps), and the forcing is
+(the grids stay small enough for dense matrices), and the forcing is
 compiled once: for a :class:`~tempfrac.solver1d.SeparableSource` each step
-only scales the precomputed tau * S by the temporal factor.
+only scales the precomputed D below by the temporal factor.
 
 The step is U^{n+1} = L U^n R^T + c(t_{n+1/2}) D with the constant factors
 L = (B_x - tau/2 P_x)^{-1} (B_x + tau/2 P_x), R the same along y, and
-D = tau (B_x - tau/2 P_x)^{-1} S (B_y - tau/2 P_y)^{-T}.  The marcher of
-:mod:`tempfrac.solver1d` takes it in blocks of steps,
+D = tau (B_x - tau/2 P_x)^{-1} S (B_y - tau/2 P_y)^{-T}.  L and R are formed
+once per run and a step is their two products with U: the LU solves of the
+sweeps act only on the forcing, once per run on a separable source's
+profile and once per step on a plain source's field.  The marcher of
+:mod:`tempfrac.solver1d` takes the step in blocks of steps,
 U <- L^K U (R^K)^T + sum_j g_j L^j D (R^j)^T.  A run with a plain-callable
-source, and any block whose growth bound comes near the blowup limit, goes
-through the two LU sweeps one step at a time.  The march runs on one BLAS
-thread (see :mod:`tempfrac._blas`): it alternates SciPy's factors and
-solves with NumPy's products, whose two OpenBLAS pools otherwise contend
-for the cores.
+source, a run too short or too wide for blocks to pay, and any chunk of
+blocks whose growth bound comes near the blowup limit take it one step at a
+time.  The march runs on one BLAS thread (see :mod:`tempfrac._blas`).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from scipy.linalg import lu_factor, lu_solve
 from ._blas import single_thread
 from .calculus import TemperedParams
 from .operators import Grid1D, TimeGrid, apply_compact, assemble_B, assemble_P
-from .solver1d import _march, _source_term
+from .solver1d import _field, _march, _source_term
 
 __all__ = ["ProblemSpec2D", "Solution2D", "solve_adi"]
 
@@ -78,12 +79,12 @@ class Solution2D:
 def _initial_surface(spec):
     """The meshgrid arrays X, Y and the initial data on every node."""
     X, Y = np.meshgrid(spec.grid_x.nodes(), spec.grid_y.nodes(), indexing="ij")
-    return X, Y, np.asarray(spec.initial(X, Y), dtype=float)
+    return X, Y, _field(spec.initial, "the initial data", X.shape, X, Y)
 
 
 @single_thread()
 def _adi_march(spec, Bx, Px, By, Py, surface=None):
-    """Compile the sweeps and march; matrices are injectable so tests can zero a direction.
+    """Compile the step and march; matrices are injectable so tests can zero a direction.
 
     ``surface`` is the caller's ``_initial_surface(spec)``, evaluated here
     when not given.
@@ -91,25 +92,19 @@ def _adi_march(spec, Bx, Px, By, Py, surface=None):
     gx, gy, tau = spec.grid_x, spec.grid_y, spec.time.tau
     lu_x = lu_factor(Bx - 0.5 * tau * Px)
     lu_y = lu_factor(By - 0.5 * tau * Py)
-    Ax = Bx + 0.5 * tau * Px
-    Ay = By + 0.5 * tau * Py
+    L = lu_solve(lu_x, Bx + 0.5 * tau * Px, check_finite=False)
+    R = lu_solve(lu_y, By + 0.5 * tau * Py, check_finite=False)
 
-    def step(U, forcing):
-        U_star = lu_solve(lu_x, Ax @ U @ Ay.T + forcing[0], check_finite=False)
-        return lu_solve(lu_y, U_star.T, check_finite=False).T
-
-    def factors():
-        # U^{n+1} = L U^n R^T + forcing, with L = lu_x^{-1} Ax, R = lu_y^{-1} Ay
-        return lu_solve(lu_x, Ax, check_finite=False), lu_solve(lu_y, Ay, check_finite=False)
-
-    def compact(F):
-        # tau * Tx F Ty^T: the compact filter along x, then along y
+    def forcing(F):
+        # tau lu_x^{-1} Tx F Ty^T lu_y^{-T}: the compact filter along x, then
+        # along y, then the solve of each sweep
         S = apply_compact("left", spec.params_x.lam, gx.h, F)
-        return (tau * apply_compact("left", spec.params_y.lam, gy.h, S.T).T,)
+        S = tau * apply_compact("left", spec.params_y.lam, gy.h, S.T).T
+        return (lu_solve(lu_y, lu_solve(lu_x, S, check_finite=False).T, check_finite=False).T,)
 
     X, Y, U0 = surface or _initial_surface(spec)
-    return _march(step, 1, U0[1:-1, 1:-1], spec.time,
-                  (_source_term(spec.source, (X, Y), 0.5, compact),), factors=factors)
+    return _march(lambda U, f: L @ U @ R.T + f[0], 1, U0[1:-1, 1:-1], spec.time,
+                  (_source_term(spec.source, (X, Y), 0.5, forcing),), factors=lambda: (L, R))
 
 
 def solve_adi(spec):

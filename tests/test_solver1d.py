@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve, solve_toeplitz, toeplitz
 
@@ -293,6 +293,10 @@ class TestBlockMarching:
         N=st.integers(1, 300),
         K=st.integers(2, 80),
     )
+    # runs over several chunks of blocks that end in a leftover block: at
+    # 9 unknowns a chunk is 64 blocks, 4096 steps for K = 64 and 448 for K = 7
+    @example(side="left", alpha=1.5, M=10, N=2 * 4096 + 3 * 64 + 17, K=64)
+    @example(side="two_sided", alpha=1.5, M=10, N=3 * 448 + 5, K=7)
     def test_blocks_equal_single_steps(self, side, alpha, M, N, K):
         # covers N < K and N not a multiple of K
         spec = manufactured_spec(side, alpha, M, N)
@@ -502,8 +506,9 @@ class TestBlockMarching:
 
 
 def chunk_steps(m):
-    """Steps of one chunk of the compiled-G march at m unknowns (see _march)."""
-    return max(1, min(solver1d._BLOCK, 2**19 // (m * (m + 2))))
+    """Steps of one chunk of a plain-source run on the compiled G at m
+    unknowns, whose widest product maps a step's m + 2 nodal values."""
+    return solver1d._chunk_blocks(m, m + 2)
 
 
 def polynomial_spec(side, u, p, M=12, N=150):
@@ -527,11 +532,12 @@ class TestChunkMarching:
         plain=st.booleans(),
         alpha=st.floats(1.05, 1.95),
         M=st.integers(200, 230),
-        N=st.integers(2, 60),
+        N=st.integers(2, 150),
     )
     def test_history_at_full_chunks_equals_stepwise_history(self, side, plain, alpha, M, N):
-        # from 199 unknowns a chunk is at most 13 steps, so a run spans
-        # several chunks and ends in a partial one.  Two-sided runs are left
+        # from 199 unknowns a chunk is at most 13 steps with a plain source
+        # and 64 with a separable one, so a run spans several chunks and,
+        # with a plain source, ends in a partial one.  Two-sided runs are left
         # out: at this size their compiled G, a product through the explicit
         # half-step of 2-norm up to 1e5, is itself off by up to 3e-12
         assume(N % chunk_steps(M - 1))
@@ -616,6 +622,19 @@ class TestChunkMarching:
                             TimeGrid(1.0, 2), terms, history=np.empty((3, 2)))
         assert err.value.step == 1
 
+    def test_growth_inside_a_later_block_of_a_chunk_is_replayed(self):
+        # a nilpotent step driven by one spike, in one chunk of two 2-step
+        # blocks: the first stays at zero, the second carries the state past
+        # the blowup limit at step 3 and back to zero at step 4.  Every
+        # endpoint is zero; only the growth bound of the second block sends
+        # the chunk back to the stages
+        jump = np.array([[0.0, 1.0], [0.0, 0.0]])
+        spike = lambda t: np.where(np.asarray(t) == 3.0, 1e31, 0.0)
+        terms = (solver1d._Term(spike, 1.0, (np.array([1.0, 0.0]),)),)
+        with block_steps(2), pytest.raises(BlowupError) as err:
+            solver1d._march(lambda U, f: jump @ U + f[0], 1, np.zeros(2), TimeGrid(4.0, 4), terms)
+        assert err.value.step == 3
+
     def test_overflowing_chunk_leaks_no_floating_point_warning(self):
         # G = 1e200 I overflows to inf at the chunk's second step and to NaN
         # (0 * inf) at its third; the replay raises at the first
@@ -626,6 +645,48 @@ class TestChunkMarching:
             solver1d._march(lambda U, f: 1e200 * U + f[0], 1, U0, TimeGrid(1.0, 10), terms,
                             history=np.empty((11, 3)))
         assert err.value.step == 1
+
+
+def field_spec(side, initial, source):
+    return ProblemSpec1D(
+        grid=Grid1D(0.0, 1.0, 12), time=TimeGrid(0.1, 150),
+        params=TemperedParams(1.6, 2.0), side=side, initial=initial,
+        boundary_left=ZERO, boundary_right=ZERO, source=source,
+    )
+
+
+class TestUserFields:
+    """Initial data, plain source values and source profiles may be scalars."""
+
+    @pytest.mark.parametrize("side", sorted(SOLVERS))
+    @pytest.mark.parametrize("separable", [False, True])
+    @pytest.mark.parametrize("store_history", [False, True])
+    def test_constants_equal_their_full_fields(self, side, separable, store_history):
+        def solve(form):
+            source = SeparableSource(form(2.0), math.cos) if separable else form(1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # u(x, 0) = 0.5 misses the zero traces
+                return SOLVERS[side](field_spec(side, form(0.5), source), store_history)
+
+        got = solve(lambda c: lambda *_: c)
+        want = solve(lambda c: lambda x, *_: np.full(np.shape(x), c))
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.history, want.history)
+
+    @pytest.mark.parametrize("side", sorted(SOLVERS))
+    @pytest.mark.parametrize("field,name", [
+        ("initial", "the initial data"), ("source", "the source has"),
+        ("profile", "the source profile"),
+    ])
+    def test_a_field_of_the_wrong_length_raises(self, side, field, name):
+        short = lambda x, *_: np.ones(np.size(x) - 1)
+        initial, source = ZERO, ZERO
+        if field == "initial":
+            initial = short
+        else:
+            source = short if field == "source" else SeparableSource(short, math.cos)
+        with pytest.raises(ValueError, match=name):
+            SOLVERS[side](field_spec(side, initial, source))
 
 
 class TestForcingSamples:

@@ -3,6 +3,7 @@ and the block marcher against the stepwise sweeps."""
 
 import contextlib
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -207,6 +208,89 @@ class TestBlockMarching:
             with pytest.raises(BlowupError) as err:
                 solve_adi(spec)
         assert err.value.step == 34
+
+
+def sweep_march(spec):
+    """The factored two-sweep scheme one step at a time, through its LU
+    solves: the reference of the compiled step L U R^T + D."""
+    gx, gy, tau = spec.grid_x, spec.grid_y, spec.time.tau
+    Bx = assemble_B("left", gx, spec.params_x.lam).to_dense()
+    By = assemble_B("left", gy, spec.params_y.lam).to_dense()
+    Px = assemble_P("left", spec.params_x, gx, tau, include_tau=False)
+    Py = assemble_P("left", spec.params_y, gy, tau, include_tau=False)
+    lu_x, lu_y = lu_factor(Bx - 0.5 * tau * Px), lu_factor(By - 0.5 * tau * Py)
+    Ax, Ay = Bx + 0.5 * tau * Px, By + 0.5 * tau * Py
+    X, Y = np.meshgrid(gx.nodes(), gy.nodes(), indexing="ij")
+    U = spec.initial(X, Y)[1:-1, 1:-1]
+    for n in range(spec.time.N):
+        F = spec.source(X, Y, (n + 0.5) * tau)
+        S = apply_compact("left", spec.params_x.lam, gx.h, F)
+        S = tau * apply_compact("left", spec.params_y.lam, gy.h, S.T).T
+        U_star = lu_solve(lu_x, Ax @ U @ Ay.T + S)
+        U = lu_solve(lu_y, U_star.T).T
+    return U
+
+
+class TestCompiledStep:
+    @settings(max_examples=30, deadline=None)
+    @given(alpha=ORDERS, beta=ORDERS, lam_hx=LAM_H, lam_hy=LAM_H, Mx=SIZES, My=SIZES,
+           N=st.integers(1, 120), K=st.sampled_from([1, None]), plain=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_compiled_step_matches_the_lu_sweeps(self, alpha, beta, lam_hx, lam_hy, Mx, My,
+                                                 N, K, plain, seed):
+        spec = random_spec2d(alpha, beta, lam_hx, lam_hy, Mx, My, N, *polynomials(seed))
+        if plain:
+            source = spec.source
+            spec = ProblemSpec2D(**{**spec.__dict__, "source": lambda X, Y, t: source(X, Y, t)})
+        ref = sweep_march(spec)
+        with block_steps(K):
+            got = solve_adi(spec).values
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("K", [1, None])
+    def test_separable_run_solves_no_system_per_step(self, K):
+        # the LU solves form L and R and map the source profile, once a run
+        counts = []
+        for N in (10, 200):
+            spec = case_ex5_3(1.5, 1.5, 0.1, 0.1).build_spec(0.1)(N)
+            with block_steps(K), mock.patch.object(solver2d, "lu_solve", wraps=lu_solve) as solves:
+                solve_adi(spec)
+            counts.append(solves.call_count)
+        assert counts[0] == counts[1]
+
+
+class TestUserFields:
+    """Initial data, plain source values and source profiles may be scalars."""
+
+    @pytest.mark.parametrize("separable", [False, True])
+    @pytest.mark.parametrize("K", [1, None])
+    def test_constants_equal_their_full_fields(self, separable, K):
+        def solve(form):
+            source = SeparableSource(form(2.0), math.cos) if separable else form(1.0)
+            spec = ProblemSpec2D(**{**zero_spec2d(N=50).__dict__,
+                                    "initial": form(0.5), "source": source})
+            with block_steps(K), warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # u(x, y, 0) = 0.5 misses the ring
+                return solve_adi(spec).values
+
+        got = solve(lambda c: lambda *_: c)
+        want = solve(lambda c: lambda X, *_: np.full(np.shape(X), c))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("field,name", [
+        ("initial", "the initial data"), ("source", "the source has"),
+        ("profile", "the source profile"),
+    ])
+    def test_a_field_of_the_wrong_shape_raises(self, field, name):
+        short = lambda X, *_: np.ones_like(X)[:-1]
+        spec = zero_spec2d()
+        if field == "initial":
+            spec = ProblemSpec2D(**{**spec.__dict__, "initial": short})
+        else:
+            source = short if field == "source" else SeparableSource(short, math.cos)
+            spec = ProblemSpec2D(**{**spec.__dict__, "source": source})
+        with pytest.raises(ValueError, match=name):
+            solve_adi(spec)
 
 
 class TestSymmetryOfRandomData:
