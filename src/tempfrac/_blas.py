@@ -2,19 +2,21 @@
 
 The wheels of NumPy and SciPy each bundle an OpenBLAS, each with a pool of
 one worker per core.  After a call a pool's workers keep spinning for a
-while before they sleep, so code that alternates the two libraries, as the
-2D march does (SciPy's LU factors and solves, which form its factors and
-map its forcing, and NumPy's matrix products), runs each threaded call on
-cores the other pool's idle workers still hold.  On a shared 2-core x86-64
-host, a ``solve_adi`` at M = 160 (N = 100) took a median 0.088 s a call
-with the default pools (quartiles 0.070 and 0.147 s over 63 calls) and
-0.041 s with one thread (quartiles 0.040 and 0.043 s), then on the LU
-sweeps; on the compiled step, 0.025-0.071 s capped and 0.039-0.81 s not
-(8 alternating calls each).  Where a run steps one step at a time, two
-NumPy products a step, the cap costs little and guards against a loaded
-host: at M = 320, N = 100 a solve took 0.31-0.44 s capped and 0.29-0.38 s
-not in one measurement, and 0.41-0.52 s capped and 2.5-3.8 s not in
-another, with a second process loading the other core.
+while before they sleep, so code that alternates the two libraries runs
+each threaded call on cores the other pool's idle workers still hold.  A 2D
+solve does so while it sets up: SciPy's LU factors and solves build its
+stages (below 600 unknowns), then map the identity and the compact filter
+into its factors L, R and its forcing maps, between NumPy's products.  On a
+shared 2-core x86-64 host the first LU factor of a 159-unknown stage took
+about 145 ms on the default pools, against 0.4 ms capped.  Earlier, with
+those LU solves inside the march, a ``solve_adi`` at M = 160 (N = 100) took
+a median 0.088 s a call with the default pools (quartiles 0.070 and 0.147 s
+over 63 calls) and 0.041 s with one thread (quartiles 0.040 and 0.043 s).
+The march itself is NumPy products only, two a step (four with a
+plain-callable source), and there the cap costs little and guards against
+a loaded host: at M = 320, N = 100 a solve took 0.31-0.44 s capped and
+0.29-0.38 s not in one measurement, and 0.41-0.52 s capped and 2.5-3.8 s
+not in another, with a second process loading the other core.
 
 :func:`single_thread` caps every OpenBLAS loaded in the process at one
 thread and restores the previous counts on exit.  The counts are process

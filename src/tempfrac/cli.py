@@ -105,7 +105,8 @@ def _cmd_converge(args):
     if not args.h > 0.0:
         print(f"error: h must be > 0, got {args.h}", file=sys.stderr)
         return 2
-    if round(1.0 / args.h) < 4:
+    cells = round(1.0 / args.h)  # the coarsest level's cells on [0, 1]
+    if cells < 4:
         print(f"error: h = {args.h} gives fewer than 4 cells on [0, 1]", file=sys.stderr)
         return 2
     coupling = args.coupling or ("h32" if args.case == "ex5_3" else "h3")
@@ -115,7 +116,8 @@ def _cmd_converge(args):
     if args.tau is not None and not args.tau > 0.0:
         print(f"error: tau must be > 0, got {args.tau}", file=sys.stderr)
         return 2
-    h_levels = [args.h / 2**k for k in range(args.levels)]
+    # the spacings the levels run, each half the one before
+    h_levels = [1.0 / (cells * 2**k) for k in range(args.levels)]
     report = run_convergence_study(case, h_levels, coupling=coupling, fixed_tau=args.tau)
 
     if args.out:

@@ -16,12 +16,13 @@ with three ingredients assembled here:
   (-e^{-lam h}, 0, e^{lam h}) / (2h).  Every term is Toeplitz, so
   :func:`P_column_row` computes P's first column and first row in O(M), and
   :func:`assemble_P` expands them into the dense matrix (the right-sided P is
-  the transpose).  The solvers build each stage matrix, such as B - P, from
-  the same column and row; :mod:`tempfrac.solver1d` expands it only below
-  600 unknowns or beyond lam*h = 1, and otherwise solves it by Levinson
-  generators and FFT products, because where lam*h <= 1 the symmetric part
-  of B is positive definite and that of P negative definite, so B - P has no
-  singular leading minor.
+  the transpose).  The solvers never call it: every stage matrix of every
+  scheme, 1D and 2D, is B - a P or B + b P, built from B's and P's columns
+  and rows by one helper of :mod:`tempfrac.solver1d`.  That helper expands
+  a stage matrix only below 600 unknowns or beyond lam*h = 1, and otherwise
+  solves it by two generators and FFT products, because where lam*h <= 1
+  the symmetric part of B is positive definite and that of P negative
+  definite, so B - a P has no singular leading minor.
 * ``H``: the per-step vector collecting every stencil contribution that falls
   on the boundary nodes x_0 and x_M (trace values at both time levels plus
   boundary samples of the source).

@@ -21,13 +21,17 @@ evaluation per step.  Each scalar function is sampled once for all the time
 levels of the run: one call with the array of those times where it accepts
 one (``np.exp`` does), else one call per level (``math.exp``).
 
-A step is a sequence of stages, each a (solve, apply) pair:
-U <- solve(apply(U) + f).  The matrices are built from Toeplitz columns and
-rows (see :func:`~tempfrac.operators.P_column_row`), and the compact filter B
-stays banded, applied by :meth:`~tempfrac.operators.CompactMatrixB.matvec`
-and inverted by :meth:`~tempfrac.operators.CompactMatrixB.solve` in O(M).
-The Toeplitz stage matrices (B - P one-sided; B_l + tau P_l and
-B_r - tau P_l^T two-sided) are served by size and regime, in one place
+A step is a sequence of theta-stages, each a (solve, apply) pair for
+(B - theta tau P) U' = (B + (1 - theta) tau P) U + f, all built by one
+helper (``_stage``) from P's first column and row without tau (see
+:func:`~tempfrac.operators.P_column_row`): the one-sided schemes take one
+stage at theta = 1, the two-sided split one at theta = 0 (left) and one at
+theta = 1 (right), and each direction of the 2D ADI step one at
+theta = 1/2.  Where a side of the stage has no P (theta 0 or 1) the compact
+filter B stays banded, applied by
+:meth:`~tempfrac.operators.CompactMatrixB.matvec` and inverted by
+:meth:`~tempfrac.operators.CompactMatrixB.solve` in O(M).  The Toeplitz
+stage matrices are served by size and regime, in one place
 (``_toeplitz_map``): below 600 unknowns, or where lam*h > 1, a dense system
 is LU-factored once, in place; from 600 unknowns on where lam*h <= 1, the
 range in which every stage matrix that is solved is positive real, a solve
@@ -587,6 +591,25 @@ def _apply_stages(stages, U, forcing):
     return U
 
 
+def _stage(side, grid, lam, P, tau, theta):
+    """The (solve, apply) pair of the theta-stage (B - a P) U' = (B + b P) U + f
+    on ``side``, with a = theta tau and b = (1 - theta) tau.
+
+    ``P`` is the first column and row of the left-sided P without tau (see
+    :func:`~tempfrac.operators.P_column_row`); the right-sided stage takes
+    its transpose, and B is that side's compact filter.  A side with a = 0
+    solves B banded, one with b = 0 applies it banded; every other stage
+    matrix is served by _toeplitz_map.
+    """
+    B = assemble_B(side, grid, lam)
+    (B_col, B_row), (col, row) = B.column_row(), P if side == "left" else P[::-1]
+    a, b, lam_h = theta * tau, (1.0 - theta) * tau, lam * grid.h
+    solve = B.solve if a == 0 else _toeplitz_map(B_col - a * col, B_row - a * row, lam_h,
+                                                 inverse=True)
+    apply = B.matvec if b == 0 else _toeplitz_map(B_col + b * col, B_row + b * row, lam_h)
+    return solve, apply
+
+
 def _toeplitz_stages(m, lam_h):
     """Whether stage matrices of dimension m are served through their
     Toeplitz structure (see _toeplitz_map) rather than expanded."""
@@ -597,9 +620,10 @@ def _toeplitz_map(col, row, lam_h, inverse=False):
     """b -> T b, or T^{-1} b with ``inverse``, for the stage matrix
     T = toeplitz(col, row); a matrix b is mapped column by column.
 
-    Where lam*h <= 1 every stage matrix (B - P, B_r - tau P_l^T) is positive
-    real, its symmetric part positive definite, so no leading principal minor
-    is singular and Levinson recursion cannot break down.  There, from
+    Where lam*h <= 1 every stage matrix that is solved (B - a P with
+    a = theta tau > 0, see _stage) is positive real, its symmetric part
+    positive definite, so no leading principal minor is singular and
+    Levinson recursion cannot break down.  There, from
     _TOEPLITZ_DIM unknowns on, T is never expanded: a product embeds it in a
     circulant, and a solve applies the Gohberg-Semencul formula to the two
     generators T^{-1} e_1 and T^{-1} e_m (see _generators), every triangular
@@ -769,7 +793,8 @@ def _gmres(product, precondition, B):
 
 
 def _solve_one_sided(spec, side, store_history):
-    """(B - P) U^{n+1} = B U^n + tau T F^{n+1} + H^{n+1}.
+    """(B - tau P) U^{n+1} = B U^n + tau T F^{n+1} + H^{n+1}: the stage at
+    theta = 1, with P without tau.
 
     T F is the compact filter on all nodes, the boundary samples of the
     source included; H holds the far trace at both time levels (the near
@@ -777,12 +802,7 @@ def _solve_one_sided(spec, side, store_history):
     vectors from ``assemble_H`` carry it.
     """
     grid, params, tau = spec.grid, spec.params, spec.time.tau
-    B = assemble_B(side, grid, params.lam)
-    P_col, P_row = P_column_row(params, grid, tau)
-    if side == "right":  # the right-sided P is the left-sided one transposed
-        P_col, P_row = P_row, P_col
-    B_col, B_row = B.column_row()
-    solve = _toeplitz_map(B_col - P_col, B_row - P_row, params.lam * grid.h, inverse=True)
+    P = P_column_row(params, grid, tau, include_tau=False)
     weights = tempered_weights(params, grid.h, grid.M)
 
     def trace_vector(now, nxt):
@@ -797,7 +817,7 @@ def _solve_one_sided(spec, side, store_history):
         _Term(far, 0.0, (trace_vector(1.0, 0.0),)),
         _Term(far, 1.0, (trace_vector(0.0, 1.0),)),
     )
-    return _solve(spec, ((solve, B.matvec),), terms, store_history)
+    return _solve(spec, (_stage(side, grid, params.lam, P, tau, 1.0),), terms, store_history)
 
 
 def solve_left(spec, store_history=False):
@@ -836,14 +856,8 @@ def solve_two_sided(spec, store_history=False):
     _warn_corner_mismatch(spec)
 
     grid, tau, lam = spec.grid, spec.time.tau, spec.params.lam
-    Bl, Br = assemble_B("left", grid, lam), assemble_B("right", grid, lam)
-    P_col, P_row = P_column_row(spec.params, grid, tau, include_tau=False)
-    B_col, B_row = Bl.column_row()
-    lam_h = lam * grid.h
-    explicit = _toeplitz_map(B_col + tau * P_col, B_row + tau * P_row, lam_h)  # B_l + tau P_l
-    # B_r - tau P_r = (B_l - tau P_l)^T
-    implicit = _toeplitz_map(B_row - tau * P_row, B_col - tau * P_col, lam_h, inverse=True)
-    stages = ((Bl.solve, explicit), (implicit, Br.matvec))
+    P = P_column_row(spec.params, grid, tau, include_tau=False)
+    stages = (_stage("left", grid, lam, P, tau, 0.0), _stage("right", grid, lam, P, tau, 1.0))
     half = 0.5 * tau
     term = _source_term(spec.source, (grid.nodes(),), 0.5, lambda F: (
         half * apply_compact("left", lam, grid.h, F),

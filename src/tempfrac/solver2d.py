@@ -8,25 +8,29 @@ alpha and beta with rates lam_1 and lam_2.  The factored two-sweep step is
                                 + tau * S^{n+1/2}
     U^{n+1} (B_y - tau/2 P_y)^T = U*
 
-with P assembled without the tau factor and S the compact-filtered source,
+with P taken without the tau factor and S the compact-filtered source,
 including its boundary-ring samples (the full stencil reaches one node past
-each edge; without those samples the scheme loses its spatial order).  Both
-directional factorizations are computed once per run from dense B and P
-(the grids stay small enough for dense matrices), and the forcing is
-compiled once: for a :class:`~tempfrac.solver1d.SeparableSource` each step
-only scales the precomputed D below by the temporal factor.
+each edge; without those samples the scheme loses its spatial order).
 
-The step is U^{n+1} = L U^n R^T + c(t_{n+1/2}) D with the constant factors
-L = (B_x - tau/2 P_x)^{-1} (B_x + tau/2 P_x), R the same along y, and
-D = tau (B_x - tau/2 P_x)^{-1} S (B_y - tau/2 P_y)^{-T}.  L and R are formed
-once per run and a step is their two products with U: the LU solves of the
-sweeps act only on the forcing, once per run on a separable source's
-profile and once per step on a plain source's field.  The marcher of
-:mod:`tempfrac.solver1d` takes the step in blocks of steps,
-U <- L^K U (R^K)^T + sum_j g_j L^j D (R^j)^T.  A run with a plain-callable
-source, a run too short or too wide for blocks to pay, and any chunk of
-blocks whose growth bound comes near the blowup limit take it one step at a
-time.  The march runs on one BLAS thread (see :mod:`tempfrac._blas`).
+Each sweep is the theta-stage of :mod:`tempfrac.solver1d` at theta = 1/2,
+a (solve, apply) pair for B - tau/2 P and B + tau/2 P built from B's and
+P's first columns and rows by the same helper as every 1D stage, so 2D
+follows the 1D size rule: dense LU factors below 600 unknowns or beyond
+lam*h = 1, generators and FFT products otherwise.  No dense B or P is
+assembled here.  The step is U^{n+1} = L U^n R^T + Fx F(t_{n+1/2}) Fy^T
+with the constant factors L = (B_x - tau/2 P_x)^{-1} (B_x + tau/2 P_x), R
+the same along y, and the forcing maps Fx = tau (B_x - tau/2 P_x)^{-1} C_x
+and Fy = (B_y - tau/2 P_y)^{-1} C_y, where C is the compact filter from the
+nodes to the interior (S = C_x F C_y^T).  All four are formed once per run,
+through the stages, so a step solves no system: it is two products with U,
+plus two with the source field for a plain-callable source, none for a
+:class:`~tempfrac.solver1d.SeparableSource`, whose profile is mapped once.
+The marcher of :mod:`tempfrac.solver1d` takes the step in blocks of steps,
+U <- L^K U (R^K)^T + sum_j g_j L^j D (R^j)^T with D = Fx (profile) Fy^T.
+A run with a plain-callable source, a run too short or too wide for blocks
+to pay, and any chunk of blocks whose growth bound comes near the blowup
+limit take it one step at a time.  The stages are built and the march runs
+on one BLAS thread (see :mod:`tempfrac._blas`).
 """
 
 from __future__ import annotations
@@ -36,12 +40,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from ._blas import single_thread
 from .calculus import TemperedParams
-from .operators import Grid1D, TimeGrid, apply_compact, assemble_B, assemble_P
-from .solver1d import _field, _march, _source_term
+from .operators import Grid1D, TimeGrid, P_column_row, apply_compact
+from .solver1d import _field, _march, _source_term, _stage
 
 __all__ = ["ProblemSpec2D", "Solution2D", "solve_adi"]
 
@@ -82,29 +85,24 @@ def _initial_surface(spec):
     return X, Y, _field(spec.initial, "the initial data", X.shape, X, Y)
 
 
-@single_thread()
-def _adi_march(spec, Bx, Px, By, Py, surface=None):
-    """Compile the step and march; matrices are injectable so tests can zero a direction.
+def _adi_march(spec, stage_x, stage_y, surface=None):
+    """Compile the step and march on the (solve, apply) stage of each
+    direction; the stages are injectable so tests can zero a direction.
 
     ``surface`` is the caller's ``_initial_surface(spec)``, evaluated here
     when not given.
     """
-    gx, gy, tau = spec.grid_x, spec.grid_y, spec.time.tau
-    lu_x = lu_factor(Bx - 0.5 * tau * Px)
-    lu_y = lu_factor(By - 0.5 * tau * Py)
-    L = lu_solve(lu_x, Bx + 0.5 * tau * Px, check_finite=False)
-    R = lu_solve(lu_y, By + 0.5 * tau * Py, check_finite=False)
-
-    def forcing(F):
-        # tau lu_x^{-1} Tx F Ty^T lu_y^{-T}: the compact filter along x, then
-        # along y, then the solve of each sweep
-        S = apply_compact("left", spec.params_x.lam, gx.h, F)
-        S = tau * apply_compact("left", spec.params_y.lam, gy.h, S.T).T
-        return (lu_solve(lu_y, lu_solve(lu_x, S, check_finite=False).T, check_finite=False).T,)
-
+    (solve_x, apply_x), (solve_y, apply_y) = stage_x, stage_y
+    gx, gy = spec.grid_x, spec.grid_y
+    L, R = solve_x(apply_x(np.eye(gx.M - 1))), solve_y(apply_y(np.eye(gy.M - 1)))
+    # a nodal field F reaches the step as Fx F Fy^T: the compact filter of
+    # each direction, then the solve of its sweep
+    Fx = spec.time.tau * solve_x(apply_compact("left", spec.params_x.lam, gx.h, np.eye(gx.M + 1)))
+    Fy = solve_y(apply_compact("left", spec.params_y.lam, gy.h, np.eye(gy.M + 1)))
     X, Y, U0 = surface or _initial_surface(spec)
     return _march(lambda U, f: L @ U @ R.T + f[0], 1, U0[1:-1, 1:-1], spec.time,
-                  (_source_term(spec.source, (X, Y), 0.5, forcing),), factors=lambda: (L, R))
+                  (_source_term(spec.source, (X, Y), 0.5, lambda F: (Fx @ F @ Fy.T,)),),
+                  factors=lambda: (L, R))
 
 
 def solve_adi(spec):
@@ -125,9 +123,15 @@ def solve_adi(spec):
             RuntimeWarning,
             stacklevel=2,
         )
-    Bx = assemble_B("left", spec.grid_x, spec.params_x.lam).to_dense()
-    By = assemble_B("left", spec.grid_y, spec.params_y.lam).to_dense()
-    Px = assemble_P("left", spec.params_x, spec.grid_x, spec.time.tau, include_tau=False)
-    Py = assemble_P("left", spec.params_y, spec.grid_y, spec.time.tau, include_tau=False)
-    U = _adi_march(spec, Bx, Px, By, Py, surface)
+    tau = spec.time.tau
+
+    # through this helper, P_column_row's lam*h > 1 warning points at the
+    # line of each direction below, so a default filter shows both
+    def stage(grid, params):
+        P = P_column_row(params, grid, tau, include_tau=False)
+        return _stage("left", grid, params.lam, P, tau, 0.5)
+
+    with single_thread():  # the stages' LU factors too, not only the march
+        U = _adi_march(spec, stage(spec.grid_x, spec.params_x),
+                       stage(spec.grid_y, spec.params_y), surface)
     return Solution2D(grid_x=spec.grid_x, grid_y=spec.grid_y, time=spec.time, values=U)

@@ -2,10 +2,13 @@
 
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
+from tempfrac import cli
 from tempfrac.cli import _build_parser, main
+from tempfrac.verification import ConvergenceReport
 
 
 class TestWeightsCommand:
@@ -61,6 +64,31 @@ class TestConvergeCommand:
         assert "ex5_1" in text
         table = capsys.readouterr().out
         assert "rate" in table
+
+    @pytest.mark.parametrize("h", ["0.1", "0.05", "0.025"])
+    def test_dyadic_levels_are_the_halvings_of_h(self, capsys, h):
+        # 1 / (M0 2^k) is h / 2^k to the bit for these h, so studies from
+        # them tabulate the same spacings as before
+        seen = []
+
+        def study(case, h_levels, **kwargs):
+            seen.append(h_levels)
+            return ConvergenceReport(ident=case.ident, params=dict(case.params))
+
+        with mock.patch.object(cli, "run_convergence_study", study):
+            assert main(["converge", "--h", h, "--levels", "12"]) == 0
+        assert seen == [[float(h) / 2**k for k in range(12)]]
+
+    def test_non_dyadic_h_prints_the_spacings_it_runs(self, capsys):
+        # --h 0.07 runs M = 14, 28, 56 cells on [0, 1]; the table and the
+        # rates are taken from those spacings, not from 0.07 / 2^k
+        assert main(["converge", "--h", "0.07", "--levels", "3", "--format", "csv"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [float(row[4]) for row in rows] == [1 / 14, 1 / 28, 1 / 56]
+        assert [float(row[7]) for row in rows[1:]] == pytest.approx([2.97, 2.985], abs=0.01)
+        assert main(["converge", "--h", "0.07", "--levels", "3"]) == 0
+        table = capsys.readouterr().out.splitlines()[2:]
+        assert [line.split()[0] for line in table] == ["0.0714286", "0.0357143", "0.0178571"]
 
     def test_unknown_case_exits_2(self, capsys):
         assert main(["converge", "--case", "bogus"]) == 2

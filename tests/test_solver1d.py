@@ -18,7 +18,8 @@ from scipy.linalg import lu_factor, lu_solve, solve_toeplitz, toeplitz
 
 from tempfrac import solver1d
 from tempfrac.calculus import TemperedParams
-from tempfrac.operators import Grid1D, TimeGrid, P_column_row, apply_compact, assemble_B, assemble_P
+from tempfrac.operators import (CompactMatrixB, Grid1D, TimeGrid, P_column_row, apply_compact,
+                                assemble_B, assemble_P)
 from tempfrac.solver1d import (
     BlowupError,
     ProblemSpec1D,
@@ -1064,3 +1065,54 @@ class TestToeplitzStages:
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": path}, check=True)
         assert out.stdout.split() == ["False"]
+
+
+class TestThetaStage:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        theta=st.sampled_from([0.0, 0.5, 1.0]),
+        side=st.sampled_from(["left", "right"]),
+        alpha=st.floats(1.01, 1.99),
+        lam_h=st.floats(0.0, 1.0) | st.floats(1.0, 1.3),
+        M=st.integers(5, 80) | st.integers(590, 700),
+        tau=st.floats(1e-4, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stage_matches_dense_lu(self, theta, side, alpha, lam_h, M, tau, seed):
+        # (B - a P)^{-1} (B + b P) V with a = theta tau, b = (1 - theta) tau,
+        # on both sides of the Toeplitz threshold; beyond lam*h = 1 only
+        # below it, where the stage is LU-factored either way.  Past
+        # lam*h = 1.3 the condition number of B itself grows like
+        # e^(c m) (1.2e7 at lam*h = 1.5 and m = 79), so that no two solvers
+        # of a theta = 0 stage need agree
+        assume(lam_h <= 1.0 or M - 1 < solver1d._TOEPLITZ_DIM)
+        grid = Grid1D(0.0, 1.0, M)
+        lam = lam_h / grid.h
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            P = P_column_row(TemperedParams(alpha, lam), grid, tau, include_tau=False)
+        with mock.patch.object(solver1d, "lu_factor", wraps=lu_factor) as lu:
+            solve, apply = solver1d._stage(side, grid, lam, P, tau, theta)
+        B = assemble_B(side, grid, lam)
+        Pd = toeplitz(*P) if side == "left" else toeplitz(*P).T
+        a, b = theta * tau, (1.0 - theta) * tau
+        V = np.random.default_rng(seed).standard_normal((M - 1, 2))
+        want = lu_solve(lu_factor(B.to_dense() - a * Pd), (B.to_dense() + b * Pd) @ V)
+        got = solve(apply(V))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if theta == 0.0:  # B solved banded
+            assert lu.call_count == 0 and solve.__func__ is CompactMatrixB.solve
+        if theta == 1.0:  # B applied banded
+            assert apply.__func__ is CompactMatrixB.matvec
+
+    @pytest.mark.parametrize("side", sorted(SOLVERS))
+    def test_one_lam_h_warning_a_run(self, side):
+        # lam*h = 1.5: one warning, however many stages share the operator
+        case = {"left": lambda: case_ex5_1(1.5, 15.0, j=5),
+                "right": lambda: case_ex5_2(1.5, 15.0, j=5),
+                "two_sided": lambda: case_ex5_4(1.5, 15.0)}[side]()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            SOLVERS[side](case.build_spec(0.1)(2))
+        assert [str(w.message)[:14] for w in caught] == ["lam*h = 1.5 > "]
+        assert caught[0].category is RuntimeWarning

@@ -14,7 +14,8 @@ from scipy.linalg import lu_factor, lu_solve
 
 from tempfrac import _blas, solver1d, solver2d
 from tempfrac.calculus import TemperedParams
-from tempfrac.operators import Grid1D, TimeGrid, apply_compact, assemble_B, assemble_P
+from tempfrac.operators import (Grid1D, TimeGrid, P_column_row, apply_compact, assemble_B,
+                                assemble_P)
 from tempfrac.solver1d import BlowupError, SeparableSource
 from tempfrac.solver2d import ProblemSpec2D, _adi_march, solve_adi
 from tempfrac.verification import case_ex5_3, run_convergence_study
@@ -72,18 +73,20 @@ class TestSweepPlumbing:
         # column must follow the one-dimensional centered implicit step
         case = case_ex5_3(1.4, 1.6, 0.2, 0.4)
         spec = case.build_spec(0.1)(12)
-        Bx = assemble_B("left", spec.grid_x, spec.params_x.lam).to_dense()
-        By = assemble_B("left", spec.grid_y, spec.params_y.lam).to_dense()
-        Px = assemble_P("left", spec.params_x, spec.grid_x, spec.time.tau, include_tau=False)
-        Py = np.zeros_like(By)
-        U = _adi_march(spec, Bx, Px, By, Py)
+        tau = spec.time.tau
+        stage_x = solver1d._stage("left", spec.grid_x, spec.params_x.lam,
+                                  P_column_row(spec.params_x, spec.grid_x, tau, include_tau=False),
+                                  tau, 0.5)
+        By = assemble_B("left", spec.grid_y, spec.params_y.lam)
+        U = _adi_march(spec, stage_x, (By.solve, By.matvec))  # the stage of a zero P_y
 
         # independent column-wise reference
-        tau = spec.time.tau
+        Bx = assemble_B("left", spec.grid_x, spec.params_x.lam).to_dense()
+        Px = assemble_P("left", spec.params_x, spec.grid_x, tau, include_tau=False)
         X, Y = np.meshgrid(spec.grid_x.nodes(), spec.grid_y.nodes(), indexing="ij")
         V = np.asarray(spec.initial(X, Y), dtype=float)[1:-1, 1:-1]
         lu = lu_factor(Bx - 0.5 * tau * Px)
-        By_inv = np.linalg.inv(By)
+        By_inv = np.linalg.inv(By.to_dense())
         for n in range(spec.time.N):
             F = np.asarray(spec.source(X, Y, (n + 0.5) * tau), dtype=float)
             # compact filter along x (rows), then along y (columns)
@@ -94,20 +97,31 @@ class TestSweepPlumbing:
         assert U == pytest.approx(V, rel=1e-10, abs=1e-12)
 
     def test_sweeps_run_on_one_blas_thread(self):
-        # the sweeps alternate SciPy's and NumPy's OpenBLAS pools; both are
-        # capped for the march and restored after it
+        # the set-up alternates SciPy's and NumPy's OpenBLAS pools; both are
+        # capped for the stages' LU factors and the march, and restored after
         seen = []
-        march = solver2d._march
 
-        def spy(*args, **kwargs):
-            seen.append([get() for get, _ in _blas._pools()])
-            return march(*args, **kwargs)
+        def spy(fn):
+            def counted(*args, **kwargs):
+                seen.append([get() for get, _ in _blas._pools()])
+                return fn(*args, **kwargs)
+            return counted
 
         before = [get() for get, _ in _blas._pools()]
-        with mock.patch.object(solver2d, "_march", spy):
+        with mock.patch.object(solver2d, "_march", spy(solver2d._march)), \
+                mock.patch.object(solver1d, "lu_factor", spy(solver1d.lu_factor)):
             solve_adi(zero_spec2d())
-        assert seen == [[1] * len(before)]
+        assert seen == [[1] * len(before)] * 3
         assert [get() for get, _ in _blas._pools()] == before
+
+    @pytest.mark.parametrize("lam1,lam2,count", [(0.1, 0.1, 0), (15.0, 0.1, 1), (0.1, 15.0, 1),
+                                                 (15.0, 15.0, 2)])
+    def test_one_lam_h_warning_per_direction_beyond_it(self, lam1, lam2, count):
+        spec = case_ex5_3(1.5, 1.5, lam1, lam2).build_spec(0.1)(2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve_adi(spec)
+        assert [str(w.message)[:14] for w in caught] == ["lam*h = 1.5 > "] * count
 
 
 @contextlib.contextmanager
@@ -131,6 +145,12 @@ def random_spec2d(alpha, beta, lam_hx, lam_hy, Mx, My, N, u, p):
         initial=lambda X, Y: X * (1.0 - X) * Y * (1.0 - Y) * np.polyval(u, X - 2.0 * Y),
         source=SeparableSource(lambda X, Y: np.polyval(p, X + 3.0 * Y * Y), math.cos),
     )
+
+
+def plain_source(spec):
+    """``spec`` with its source behind a plain callable."""
+    source = spec.source
+    return ProblemSpec2D(**{**spec.__dict__, "source": lambda X, Y, t: source(X, Y, t)})
 
 
 def polynomials(seed):
@@ -240,8 +260,7 @@ class TestCompiledStep:
                                                  N, K, plain, seed):
         spec = random_spec2d(alpha, beta, lam_hx, lam_hy, Mx, My, N, *polynomials(seed))
         if plain:
-            source = spec.source
-            spec = ProblemSpec2D(**{**spec.__dict__, "source": lambda X, Y, t: source(X, Y, t)})
+            spec = plain_source(spec)
         ref = sweep_march(spec)
         with block_steps(K):
             got = solve_adi(spec).values
@@ -249,14 +268,31 @@ class TestCompiledStep:
 
     @pytest.mark.parametrize("K", [1, None])
     def test_separable_run_solves_no_system_per_step(self, K):
-        # the LU solves form L and R and map the source profile, once a run
-        counts = []
-        for N in (10, 200):
-            spec = case_ex5_3(1.5, 1.5, 0.1, 0.1).build_spec(0.1)(N)
-            with block_steps(K), mock.patch.object(solver2d, "lu_solve", wraps=lu_solve) as solves:
-                solve_adi(spec)
-            counts.append(solves.call_count)
-        assert counts[0] == counts[1]
+        # the LU solves form L, R and the forcing maps once a run, and a
+        # plain source's field reaches each step through two products
+        for plain in (False, True):
+            counts = []
+            for N in (10, 200):
+                spec = case_ex5_3(1.5, 1.5, 0.1, 0.1).build_spec(0.1)(N)
+                if plain:
+                    spec = plain_source(spec)
+                with block_steps(K), \
+                        mock.patch.object(solver1d, "lu_solve", wraps=lu_solve) as solves:
+                    solve_adi(spec)
+                counts.append(solves.call_count)
+            assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("plain", [False, True])
+    def test_generator_stages_match_the_lu_sweeps(self, plain):
+        # from 600 unknowns on both sweeps run on generators and FFT products
+        # (lam*h <= 1): no stage matrix is expanded or LU-factored
+        spec = random_spec2d(1.5, 1.7, 0.5, 0.001, 601, 601, 2, *polynomials(7))
+        if plain:
+            spec = plain_source(spec)
+        ref = sweep_march(spec)
+        with mock.patch.object(solver1d, "lu_factor", side_effect=AssertionError("LU")):
+            got = solve_adi(spec).values
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestUserFields:
