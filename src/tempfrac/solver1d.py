@@ -38,9 +38,10 @@ range in which every stage matrix that is solved is positive real, a solve
 uses two generators found once and the Gohberg-Semencul formula, every
 product one FFT (O(m log m) a step instead of O(m^2), no dense matrix).  The
 generators come from GMRES preconditioned with Strang's circulant and
-refined against residuals taken in extended precision, O(m log m) as well;
-a pair that fails to certify its residual is replaced by Levinson's
-(O(m^2)).  All of them act column by column on matrices.
+refined against residuals taken in extended precision, each residual both
+the stop test and the certificate, O(m log m) as well; a pair that fails
+to certify its residual is replaced by Levinson's (O(m^2)).  All of them
+act column by column on matrices.
 One marcher then takes one of two paths:
 
 * stepwise: the step itself, one step at a time: the stages of a 1D
@@ -64,9 +65,10 @@ One marcher then takes one of two paths:
 Any non-finite value, or a sup-norm beyond 1e30, aborts with
 :class:`BlowupError` carrying the failing step index; that is the diagnostic
 the stability experiments rely on, so overflow is never masked.  A chunk of
-blocks is accepted only when its endpoints are finite and a precomputed
-bound shows that no step inside it can have come near the limit; otherwise
-it is replayed stepwise, so the index is exact on every path.
+blocks is accepted only when its endpoints are finite and, for blocks of
+more than one step, a precomputed bound shows that no step inside them can
+have come near the limit; otherwise it is replayed stepwise, so the index
+is exact on every path.
 Runs share no mutable state and may execute concurrently.
 """
 
@@ -107,9 +109,9 @@ _BLOCK_FLOATS = 2**17
 # their Toeplitz structure where lam*h <= 1 (see _toeplitz_map)
 _TOEPLITZ_DIM = 600
 # the two generators of such a solve come from GMRES (see _krylov_generators)
-# where each call meets _GMRES_TOL within _GMRES_CAP iterations and the
-# refined residual, taken in _EXTENDED precision, is at most
-# _GENERATOR_RESIDUAL; otherwise from Levinson
+# where each call meets _GMRES_TOL within _GMRES_CAP iterations and, within
+# _REFINEMENTS refinements, a refined residual taken in _EXTENDED precision
+# is at most _GENERATOR_RESIDUAL; otherwise from Levinson
 _GMRES_TOL = 1e-10
 _GMRES_CAP = 12
 _REFINEMENTS = 3
@@ -429,13 +431,12 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
     finite and within _BLOCK_LIMIT and so is gamma (|state before| + the
     sup-norm bound of the block's forcing): no step inside a block can then
     have come near the limit.  For k = 1 the endpoint is the block's only
-    state and its test would do alone; the bound then sends back only a
-    chunk whose states came within a factor gamma of the limit.  A chunk
-    that fails is replayed from its start by ``stepwise``, which rewrites
-    its rows and raises at the exact step.  A homogeneous run with a stored
-    history and a plain zero source at 199 unknowns costs about 15 us a
-    step on 2 cores: some 8 us of matrix-vector product, 2-3 us in the
-    source, which is still called once per step, and the rest Python.
+    state, so the chunk is accepted on its rows alone.  A chunk that fails
+    is replayed from its start by ``stepwise``, which rewrites its rows and
+    raises at the exact step.  A homogeneous run with a stored history and
+    a plain zero source at 199 unknowns costs about 15 us a step on 2
+    cores: some 8 us of matrix-vector product, 2-3 us in the source, which
+    is still called once per step, and the rest Python.
     """
     N, T = samples.shape
     shape = U.shape
@@ -501,10 +502,12 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
                     state += Lk @ previous if vector else Lk @ previous @ RkT
                     previous = state
                 ends = np.abs(rows).max(axis=1)
-                before = np.concatenate(([u_norm], ends[:-1]))
+                bound = ends
+                if k > 1:  # a one-step block's row is its only state
+                    before = np.concatenate(([u_norm], ends[:-1]))
+                    bound = np.maximum(ends, gamma * (before + bounds[first:last]))
                 # False for inf or NaN, which np.maximum keeps
-                accepted = (np.maximum(ends, gamma * (before + bounds[first:last]))
-                            <= _BLOCK_LIMIT).all()
+                accepted = (bound <= _BLOCK_LIMIT).all()
             if accepted:
                 U, u_norm = previous.copy(), ends[-1]
             else:
@@ -632,11 +635,12 @@ def _toeplitz_map(col, row, lam_h, inverse=False):
     toeplitz(row, col).T is T in Fortran order, which LAPACK factors without
     a second copy.  Measured per stage on 2 cores (build / step), LU against
     generators and FFT: m = 399, 3 ms / 60 us against 1.1 ms / 95 us (with
-    Levinson generators); m = 3199, 410 ms / 6.5 ms against 15-25 ms /
-    0.44 ms (Levinson: 45-50 ms).  At m = 1599 and 3199 the generators
-    from GMRES are within 1e-17 to 7e-14 of a dense solve refined in long
-    double, 6 to 5e5 times closer than Levinson's, and the FFT solve is off
-    by up to 9e-14 relative (with Levinson's generators 7e-11, LU 8e-12).
+    Levinson generators); m = 3199, 410 ms / 6.5 ms against 16-18 ms /
+    0.37-0.41 ms (Levinson: 45-50 ms); the generators and FFT build in
+    9-11 ms at m = 1599.  At m = 1599 and 3199 the generators from GMRES
+    are within 1e-17 to 7e-14 of a dense solve refined in long double, 6 to
+    5e5 times closer than Levinson's, and the FFT solve is off by up to
+    9e-14 relative (with Levinson's generators 7e-11, LU 8e-12).
     """
     m = len(col)
     if not _toeplitz_stages(m, lam_h):
@@ -695,16 +699,23 @@ def _krylov_generators(col, row, n, E):
     """T^{-1} E for the two unit columns E, by GMRES preconditioned with
     T's Strang circulant and refined against residuals in extended
     precision; None unless every GMRES call converged within _GMRES_CAP
-    iterations and the refined residual max |E - T X| is at most
-    _GENERATOR_RESIDUAL.
+    iterations and, within _REFINEMENTS refinements, a refined residual
+    max |E - T X| came to at most _GENERATOR_RESIDUAL.
 
     A residual in double precision cannot certify the generators: the
     rounding of T X alone is about eps |T| |X|, and an unrefined solve
     stopped at a 1e-13 residual left generators 17 to 120 times less
-    accurate than Levinson's at m = 3199.  Each refinement X <- X + GMRES(E - T X) takes
-    E - T X in ``np.longdouble`` through one FFT product, and stops once the
-    correction is at round-off; where that type is no wider than double
-    (Windows, macOS on arm64) the caller takes Levinson.
+    accurate than Levinson's at m = 3199.  Each refinement
+    X <- X + GMRES(E - T X) is followed by one FFT product that takes the
+    new residual E - T X in ``np.longdouble``; that residual is both the
+    stop test and the certificate: the pair is accepted as soon as it
+    passes, and otherwise it is the right-hand side of the next refinement,
+    so no residual is formed twice.  At least one refinement runs: an
+    unrefined solve is never accepted, even where its residual would pass.
+    On the stages of the 1D solvers at m = 1599, 3199 and 102,399 one
+    refinement certifies the pair: two GMRES calls and two long-double
+    products.  Where that type is no wider than double (Windows, macOS on
+    arm64) the caller takes Levinson.
     """
     eps = np.finfo(float).eps
     if np.finfo(_EXTENDED).eps >= eps:
@@ -729,18 +740,18 @@ def _krylov_generators(col, row, n, E):
     product = _circulant_product(col, row, n)
     extended = _circulant_product(col, row, n, _EXTENDED)
     X = _gmres(product, precondition, E)
+    if X is None:
+        return None
+    residual = E - extended(X)
     for _ in range(_REFINEMENTS):
-        if X is None:
-            return None
-        D = _gmres(product, precondition, (E - extended(X)).astype(float))
+        D = _gmres(product, precondition, residual.astype(float))
         if D is None:
             return None
         X = X + D
-        if (np.abs(D).max(axis=0) <= eps * np.abs(X).max(axis=0)).all():
-            break
-    if not np.abs(E - extended(X)).max() <= _GENERATOR_RESIDUAL:
-        return None
-    return X
+        residual = E - extended(X)
+        if np.abs(residual).max() <= _GENERATOR_RESIDUAL:
+            return X
+    return None
 
 
 def _gmres(product, precondition, B):

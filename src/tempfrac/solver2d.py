@@ -21,10 +21,13 @@ assembled here.  The step is U^{n+1} = L U^n R^T + Fx F(t_{n+1/2}) Fy^T
 with the constant factors L = (B_x - tau/2 P_x)^{-1} (B_x + tau/2 P_x), R
 the same along y, and the forcing maps Fx = tau (B_x - tau/2 P_x)^{-1} C_x
 and Fy = (B_y - tau/2 P_y)^{-1} C_y, where C is the compact filter from the
-nodes to the interior (S = C_x F C_y^T).  All four are formed once per run,
-through the stages, so a step solves no system: it is two products with U,
-plus two with the source field for a plain-callable source, none for a
-:class:`~tempfrac.solver1d.SeparableSource`, whose profile is mapped once.
+nodes to the interior (S = C_x F C_y^T).  L and R take one solve each,
+and the maps come from them: C's interior block is B, and
+(B - tau/2 P)^{-1} B = (L + I)/2, so only C's two end columns take a solve.
+All four are formed once per run, so a step solves no system: it is two
+products with U, plus two with the source field for a plain-callable
+source, none for a :class:`~tempfrac.solver1d.SeparableSource`, whose
+profile is mapped once.
 The marcher of :mod:`tempfrac.solver1d` takes the step in blocks of steps,
 U <- L^K U (R^K)^T + sum_j g_j L^j D (R^j)^T with D = Fx (profile) Fy^T.
 A run with a plain-callable source, a run too short or too wide for blocks
@@ -85,9 +88,24 @@ def _initial_surface(spec):
     return X, Y, _field(spec.initial, "the initial data", X.shape, X, Y)
 
 
+def _forcing_map(solve, L, grid, lam):
+    """A^{-1} C for a direction's stage (solve A, apply 2B - A): C the
+    compact filter from the nodes to the interior, L = A^{-1} (2B - A).
+
+    C's interior block is B, and A^{-1} B = (L + I) / 2, so only C's two end
+    columns take a solve.
+    """
+    m = len(L)
+    F = np.empty((m, m + 2))
+    F[:, 1:-1] = 0.5 * (L + np.eye(m))
+    F[:, [0, -1]] = solve(apply_compact("left", lam, grid.h, np.eye(m + 2)[:, [0, -1]]))
+    return F
+
+
 def _adi_march(spec, stage_x, stage_y, surface=None):
     """Compile the step and march on the (solve, apply) stage of each
-    direction; the stages are injectable so tests can zero a direction.
+    direction, a theta = 1/2 stage (solve B - a P, apply B + a P); the stages
+    are injectable so tests can zero a direction.
 
     ``surface`` is the caller's ``_initial_surface(spec)``, evaluated here
     when not given.
@@ -97,8 +115,8 @@ def _adi_march(spec, stage_x, stage_y, surface=None):
     L, R = solve_x(apply_x(np.eye(gx.M - 1))), solve_y(apply_y(np.eye(gy.M - 1)))
     # a nodal field F reaches the step as Fx F Fy^T: the compact filter of
     # each direction, then the solve of its sweep
-    Fx = spec.time.tau * solve_x(apply_compact("left", spec.params_x.lam, gx.h, np.eye(gx.M + 1)))
-    Fy = solve_y(apply_compact("left", spec.params_y.lam, gy.h, np.eye(gy.M + 1)))
+    Fx = spec.time.tau * _forcing_map(solve_x, L, gx, spec.params_x.lam)
+    Fy = _forcing_map(solve_y, R, gy, spec.params_y.lam)
     X, Y, U0 = surface or _initial_surface(spec)
     return _march(lambda U, f: L @ U @ R.T + f[0], 1, U0[1:-1, 1:-1], spec.time,
                   (_source_term(spec.source, (X, Y), 0.5, lambda F: (Fx @ F @ Fy.T,)),),

@@ -896,6 +896,14 @@ def fft_length(m):
     return solver1d.next_fast_len(2 * m - 1, real=True)
 
 
+def recording(fn, results):
+    """fn, appending each result to ``results``."""
+    def recorded(*args):
+        results.append(fn(*args))
+        return results[-1]
+    return recorded
+
+
 @contextlib.contextmanager
 def toeplitz_from(dim):
     """Take the Toeplitz stage path from ``dim`` unknowns on."""
@@ -1026,6 +1034,40 @@ class TestToeplitzStages:
                                (case_ex5_4(1.5, 0.1), "two_sided")):
                 with mock.patch.object(solver1d, "solve_toeplitz", side_effect=AssertionError):
                     SOLVERS[side](case.build_spec(1.0 / M)(16))
+
+    @pytest.mark.parametrize("case,side", [
+        (case_ex5_1(1.5, 1.0, j=5), "left"),
+        (case_ex5_2(1.5, 1.0, j=5), "right"),
+        (case_ex5_4(1.5, 0.1), "two_sided"),
+    ])
+    def test_certified_pair_takes_two_gmres_calls_and_two_long_double_products(self, case, side):
+        # the residual after the one refinement certifies the pair: no third
+        # solve, and no residual formed twice
+        circulant_product, extended = solver1d._circulant_product, []
+
+        def product(col, row, n, dtype=float):
+            apply = circulant_product(col, row, n, dtype)
+            return recording(apply, extended) if dtype is solver1d._EXTENDED else apply
+
+        with mock.patch.object(solver1d, "solve_toeplitz", side_effect=AssertionError), \
+                mock.patch.object(solver1d, "_gmres", wraps=solver1d._gmres) as gmres, \
+                mock.patch.object(solver1d, "_circulant_product", product):
+            SOLVERS[side](case.build_spec(1.0 / 1600)(16))
+        assert gmres.call_count == 2
+        assert len(extended) == 2
+
+    def test_a_passing_unrefined_solve_is_still_refined_once(self):
+        # here the unrefined GMRES solve already meets the bound
+        col, row, _ = stage_matrices(1.5, 100.0 / 6400, 6400, 1e-5)[0]
+        m, n = len(col), fft_length(len(col))
+        E = unit_columns(m)
+        solves = []
+        with mock.patch.object(solver1d, "_gmres", recording(solver1d._gmres, solves)):
+            X = solver1d._krylov_generators(col, row, n, E)
+        extended = solver1d._circulant_product(col, row, n, solver1d._EXTENDED)
+        assert np.abs(E - extended(solves[0])).max() <= solver1d._GENERATOR_RESIDUAL
+        assert len(solves) == 2
+        assert np.array_equal(X, solves[0] + solves[1])
 
     def test_generators_are_far_more_accurate_than_levinson_on_a_wide_grid(self):
         # a residual taken in double precision leaves them less accurate

@@ -294,6 +294,22 @@ class TestCompiledStep:
             got = solve_adi(spec).values
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("M", [160, 602])
+    def test_forcing_maps_from_the_step_factor_match_a_solve(self, M):
+        # A^{-1} C with A = B - tau/2 P, from L = A^{-1} (B + tau/2 P) and a
+        # solve of C's two end columns: LU stages at 159 unknowns, generator
+        # stages at 601
+        grid, params = Grid1D(0.0, 1.0, M), TemperedParams(1.5, 1.0)
+        tau = grid.h**1.5
+        P = P_column_row(params, grid, tau, include_tau=False)
+        lu = mock.patch.object(solver1d, "lu_factor", side_effect=AssertionError("LU"))
+        with lu if M - 1 >= solver1d._TOEPLITZ_DIM else contextlib.nullcontext():
+            solve, apply = solver1d._stage("left", grid, params.lam, P, tau, 0.5)
+        L = solve(apply(np.eye(M - 1)))
+        want = solve(apply_compact("left", params.lam, grid.h, np.eye(M + 1)))
+        got = solver2d._forcing_map(solve, L, grid, params.lam)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
 
 class TestUserFields:
     """Initial data, plain source values and source profiles may be scalars."""
