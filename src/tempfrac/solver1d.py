@@ -53,27 +53,32 @@ One marcher then takes one of two paths:
   the powers and the terms L^j D (R^j)^T of W precomputed and g holding the
   K temporal samples of each term.  A vector state is the case r = 1,
   R = [[1]], L = G.  A 1D run with a stored history or a plain-callable
-  source marches in blocks of one step, U <- G U + d_n, one matrix-vector
-  product a step: the source is still called once per step, and the fields
-  of a chunk of steps reach their d_n through one product with the forcing
-  map step(0, stencil(I)), formed once like G, none where they are all
+  source marches in blocks of one step, U <- G U + d_n: the source is
+  still called once per step, and the fields of a part of a chunk of steps
+  reach their d_n through one product with the forcing map
+  step(0, stencil(I)), formed like G, and only once some field is not all
   zero.  The d_n are written straight into the rows of the history, which
-  the steps then fill in place.  One loop serves every block size: the
-  blocks go in chunks, each chunk's forcing one product, its states
+  are then filled in place in groups of q steps: the group ends one after
+  another through G^q, and everything else in products of all the groups
+  at once with G^T, on one BLAS thread, so that the chain of dependent
+  products is N / q long instead of N.  One loop serves every block size:
+  the blocks go in chunks, each chunk's forcing a few products, its states
   checked once.
 
 Any non-finite value, or a sup-norm beyond 1e30, aborts with
 :class:`BlowupError` carrying the failing step index; that is the diagnostic
-the stability experiments rely on, so overflow is never masked.  A chunk of
-blocks is accepted only when its endpoints are finite and, for blocks of
-more than one step, a precomputed bound shows that no step inside them can
-have come near the limit; otherwise it is replayed stepwise, so the index
-is exact on every path.
+the stability experiments rely on, so overflow is never masked.  A chunk is
+accepted only when every state it holds is finite and, for blocks of more
+than one step or groups of one-step blocks, a precomputed growth bound
+shows that no step inside a block, and no part a group's states are summed
+from, can have come near the limit; otherwise it is replayed stepwise, so
+the index is exact on every path.
 Runs share no mutable state and may execute concurrently.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
@@ -85,6 +90,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import lu_factor, lu_solve, solve_toeplitz, toeplitz
 
+from ._blas import single_thread
 from .calculus import TemperedParams, tempered_weights
 from .operators import Grid1D, TimeGrid, P_column_row, apply_compact, assemble_B, assemble_H
 
@@ -158,9 +164,10 @@ class ProblemSpec1D:
     accept a vector of nodes.  A :class:`SeparableSource` lets long runs march
     in blocks of steps; a plain callable is evaluated once per step, and a
     long run with it, or with a stored history, still steps on the compiled
-    G: one matrix-vector product a step, the states checked once per chunk
-    of steps, and forcing that is exactly zero free (about 15 us a step at
-    199 unknowns on 2 cores, 2-3 us of it in the source).  A
+    G, in groups of steps whose states are filled by products of all the
+    groups at once, the states checked once per chunk of steps, and forcing
+    that is exactly zero free (about 7 us a step at 199 unknowns on 2
+    cores, 2-3 us of it in the source).  A
     trace that also accepts an array of times is called once per run for
     all the time levels, otherwise once per level.  ``side`` selects the
     scheme.  ``initial``, a plain ``source`` and a separable source's
@@ -276,7 +283,12 @@ def _block_steps(m, N, r=1, terms=1):
     m = r = 39 to 239; measured on 2 cores (best of 5), the 2D block path
     breaks even with the stepwise one between 8 and 32 steps there.
     A block is the largest power of two up to _BLOCK steps whose forcing
-    stack, K terms m r floats, fits in _BLOCK_FLOATS.
+    stack, K terms m r floats, fits in _BLOCK_FLOATS.  A run with a stored
+    history or a plain source marches in blocks of one step, in groups of
+    up to K steps (see _march_blocks): its set-up is G and the log2 K
+    squarings that give G^K, at most 14 m^3 flops, inside the same term.
+    At m = 199 on one BLAS thread G took about 0.5 ms and each squaring
+    0.34 ms.
     """
     saved = m * m if r == 1 else m * r * (m + r)
     if N * (4e4 + saved) < 16.0 * (m**3 + r**3):
@@ -302,11 +314,11 @@ def _march(step, stages, U, time, terms, history=None, factors=None, toeplitz_st
 
     Where the price of _block_steps says a dense L pays, a run whose terms
     are all scalar-times-vector marches in blocks of steps, and a vector
-    state with a general term or a history in blocks of one step, each a
-    product with L = G (see _march_blocks).  ``toeplitz_stages`` marks steps
-    served through their Toeplitz structure (see _toeplitz_map): their
-    O(m log m) solves beat any dense G, so those runs always take the
-    stages.  A matrix state with a general term steps on ``step`` itself,
+    state with a general term or a history in blocks of one step on L = G,
+    in groups of up to the price's block length (see _march_blocks).
+    ``toeplitz_stages`` marks steps served through their Toeplitz structure
+    (see _toeplitz_map): their O(m log m) solves beat any dense G, so those
+    runs always take the stages.  A matrix state with a general term steps on ``step`` itself,
     which in 2D is the compiled L U R^T + f.
     """
     N, tau = time.N, time.tau
@@ -343,23 +355,32 @@ def _march(step, stages, U, time, terms, history=None, factors=None, toeplitz_st
         return stepwise(U, 0, N)
     if factors is None:
         factors = lambda: (step(np.eye(m), [0.0] * stages), np.ones((1, 1)))
+    Q = 1
     if general or history is not None:
-        K = 1  # every state is recorded, or the forcing is not scalar-times-vector
-    # the forcing map of each general term, step(0, stencil(I)), is formed
-    # once like G, transposed; a nodal field has one more value at each end
-    # than the state
-    maps = [step(np.zeros((m, m + 2)), term.stencil(np.eye(m + 2))).T for term in general]
+        # every state is recorded, or the forcing is not scalar-times-vector:
+        # blocks of one step, in groups of up to K (see _march_blocks)
+        K, Q = 1, K
+
+    @functools.cache
+    def forcing_map(term):
+        # step(0, stencil(I)), formed once like G, transposed, and only for a
+        # term with a nonzero field; a nodal field has one more value at
+        # each end than the state
+        return step(np.zeros((m, m + 2)), term.stencil(np.eye(m + 2))).T
 
     def general_forcing(start, stop, rows):
         # one row a step: each term's nodal fields stacked as rows, one
-        # product with its map unless they are all zero
-        for term, mapT in zip(general, maps):
+        # product with its map unless they are all zero; whether any was not
+        forced = False
+        for term in general:
             fields = np.array([term.fn((n + term.shift) * tau) for n in range(start, stop)])
             if fields.any():
-                rows += fields @ mapT
+                rows += fields @ forcing_map(term)
+                forced = True
+        return forced
 
     return _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history,
-                         general_forcing if general else None)
+                         general_forcing if general else None, Q)
 
 
 def _sample(terms, N, tau):
@@ -408,7 +429,7 @@ def _sample_run(fn, first, count, tau):
     return np.fromiter((fn((j + first) * tau) for j in range(count)), float, count)
 
 
-def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, general):
+def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, general, Q=1):
     """Blocks of K steps, then one block of the N mod K steps left over,
     all by one loop; ``stepwise`` is the reference it falls back on.
 
@@ -420,23 +441,44 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
     forcing stack (see _forcing_stack).  A block of one step is the case
     k = 1, whose head is D^T: the only block size of a run with a stored
     history (K = 1, one row a step) or with general terms, whose forcing
-    ``general(start, stop, rows)`` adds to the rows of those steps.
+    ``general(start, stop, rows)`` adds to the rows of those steps and says
+    whether it added any.
 
-    The blocks go a chunk at a time (see _chunk_blocks).  A chunk's forcing
-    is one product, none where its samples are all zero, written into its
-    rows of ``history`` or of one scratch buffer; each block then adds
-    L^k (previous state) (R^k)^T into its row.  With gamma, the product of
-    the infinity norms of the powers of L and R, bounding the growth of any
-    j <= K steps, the chunk is accepted only when every block's endpoint is
-    finite and within _BLOCK_LIMIT and so is gamma (|state before| + the
-    sup-norm bound of the block's forcing): no step inside a block can then
-    have come near the limit.  For k = 1 the endpoint is the block's only
-    state, so the chunk is accepted on its rows alone.  A chunk that fails
-    is replayed from its start by ``stepwise``, which rewrites its rows and
-    raises at the exact step.  A homogeneous run with a stored history and
-    a plain zero source at 199 unknowns costs about 15 us a step on 2
-    cores: some 8 us of matrix-vector product, 2-3 us in the source, which
-    is still called once per step, and the rest Python.
+    The blocks go a chunk at a time.  A chunk's forcing is written into its
+    rows of ``history`` or of one scratch buffer, one product a part of at
+    most _chunk_blocks blocks, none where its samples are all zero.  Then
+    _fill_groups fills the rows with the states, in groups of q blocks
+    whose ends follow one another through L^(k q) and R^(k q).  Blocks of
+    k > 1 steps take q = 1.  One-step blocks take groups of Q: the largest
+    power of two up to ``Q``, the block length the price of _block_steps
+    gives the run, whose square is at most N (and fits a scratch buffer in
+    _BLOCK_FLOATS floats).  A chunk then holds Q groups, the last one as
+    many as are left, and the N mod Q steps left over go one at a time.
+    The log2 Q squarings that give G^Q, and the fill, run on one BLAS
+    thread (see :mod:`tempfrac._blas`): uncapped, the (32 x 199)
+    (199 x 199) products of the fill woke OpenBLAS's threaded pool, and in
+    history runs at 199 unknowns the next LU factor took up to 75-81 ms
+    (at most 1.1 ms capped) and one run in ten 96-139 ms (26-28 ms).
+
+    With gamma, the product of the infinity norms of the powers of L and R,
+    bounding the growth of any j <= max(K, Q) steps, a chunk is accepted
+    only when every row is finite and within _BLOCK_LIMIT and so is
+    gamma (|state before a group| + the sup-norm bound of the forcing in
+    it): no step inside a block, and no part a group's rows are summed
+    from, can then have come near the limit.  A one-step block alone is its
+    own only state, accepted on its row alone.  A chunk that fails is
+    replayed from its start by ``stepwise``, which rewrites its rows and
+    raises at the exact step.  Where G grows states, gamma is large and
+    such chunks go back to the stepwise path: stored histories of ex5_1 at
+    lam*h from 1.5 to 6 kept within 2.1e-13 of it, where one product a step
+    on G drifted by up to 2.4e-6.
+
+    A homogeneous run with a stored history and a plain zero source at 199
+    unknowns and 2000 steps (groups of 32) costs about 7 us a step on a
+    shared 2-core host, against 12 us at one product with G a step: 2-3 us
+    in the source, which is still called once per step, about 2.3 us in the
+    fill's (32 x 199) (199 x 199) products, and about 1 us for the five
+    squarings that give G^32 and the 78 dependent products of the chain.
     """
     N, T = samples.shape
     shape = U.shape
@@ -449,86 +491,146 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
         D = step(np.zeros((m, T)), [np.column_stack(v) for v in per_stage])[:, :, None]
     else:
         D = np.stack([step(np.zeros(shape), list(v)) for v in zip(*per_stage)], axis=1)
+    # a chunk of Q groups holds at most N steps, and a scratch buffer for it
+    # at most _BLOCK_FLOATS floats
+    Q = _group_steps(N if history is not None else min(N, _BLOCK_FLOATS // (m * r)), Q)
 
-    # L^(2^i) and R^(2^i) for every bit of K; since
-    # ||L V R^T||_max <= ||L||_inf ||V||_max ||R||_inf, the product of their
-    # norms (at least 1 each) bounds the growth of any j <= K steps.  An
-    # unstable step may overflow them: gamma is then inf or NaN, and every
-    # block is replayed.
-    powers = [(L, R)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(K.bit_length() - 1):
-            Lp, Rp = powers[-1]
-            powers.append((Lp @ Lp, Rp @ Rp))
-        # ||P||_inf of the powers of L, then of those of R
-        norms = [np.abs(np.stack(Ps)).sum(axis=2).max(axis=1) for Ps in zip(*powers)]
-    # Python floats overflow to inf silently; np.maximum keeps a NaN
-    gamma = math.prod(np.maximum(1.0, np.concatenate(norms)).tolist())
-    # sup-norm bound of each step's forcing, summed per block below
-    forcing_bound = np.abs(samples) @ np.max(np.abs(D), axis=(0, 2))
+    with single_thread() if Q > 1 else contextlib.nullcontext():
+        # L^(2^i) and R^(2^i) for every bit of K and Q; since
+        # ||L V R^T||_max <= ||L||_inf ||V||_max ||R||_inf, the product of
+        # their norms (at least 1 each) bounds the growth of any
+        # j <= max(K, Q) steps.  An unstable step may overflow them: gamma
+        # is then inf or NaN, and every chunk is replayed.  One-step blocks
+        # keep only L and L^Q.
+        powers, norms = [(L, R)], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(max(K, Q).bit_length()):
+                if i:
+                    Lp, Rp = powers[-1]
+                    powers.append((Lp @ Lp, Rp @ Rp))
+                    if K == 1:
+                        del powers[1:-1]
+                # ||P||_inf of the new powers (a vector state's R is [[1]])
+                norms += [np.abs(P).sum(axis=1).max() for P in powers[-1][:1 if r == 1 else 2]]
+        # Python floats overflow to inf silently; np.maximum keeps a NaN
+        gamma = math.prod(np.maximum(1.0, norms).tolist())
+        # sup-norm bound of each step's forcing, summed per block below
+        forcing_bound = np.abs(samples) @ np.max(np.abs(D), axis=(0, 2))
 
-    # the forcing stack of a block of k steps is the head of the longest one
-    W = _forcing_stack(powers, D, min(K, N))
-    n = 0
-    u_norm = abs(U).max()
-    for k in (K, N % K):
-        blocks = (N - n) // k if k else 0
-        if not blocks:
-            continue
-        Lk, Rk = _block_power(powers, k)
-        RkT, Wk = Rk.T, W[:k * T]
-        bounds = forcing_bound[n:n + blocks * k].reshape(blocks, k).sum(axis=1)
-        # the samples of each block, last step first, read against the stack
-        g = samples[n:n + blocks * k].reshape(blocks, k, T)[:, ::-1].reshape(blocks, k * T)
-        # the widest product of a chunk: its samples through the stack head,
-        # or the m + 2 nodal values of a general term's field through its map
-        chunk = _chunk_blocks(m, max(k * T * r, m + 2 if general else 1))
-        scratch = np.empty((min(chunk, blocks), m * r)) if history is None else None
-        for first in range(0, blocks, chunk):
-            last = min(first + chunk, blocks)
-            start, stop = n + first * k, n + last * k
-            rows = scratch[:last - first] if history is None else history[start + 1:stop + 1]
-            if g[first:last].any():
-                np.matmul(g[first:last], Wk, out=rows)
-            else:
-                rows[...] = 0.0
-            if general is not None:
-                general(start, stop, rows)
-            # a row holds its block's state transposed (see _forcing_stack)
-            states = rows if vector else rows.reshape(-1, r, m).transpose(0, 2, 1)
-            with np.errstate(over="ignore", invalid="ignore"):
-                previous = U
-                for state in states:
-                    state += Lk @ previous if vector else Lk @ previous @ RkT
-                    previous = state
-                ends = np.abs(rows).max(axis=1)
-                bound = ends
-                if k > 1:  # a one-step block's row is its only state
-                    before = np.concatenate(([u_norm], ends[:-1]))
-                    bound = np.maximum(ends, gamma * (before + bounds[first:last]))
-                # False for inf or NaN, which np.maximum keeps
-                accepted = (bound <= _BLOCK_LIMIT).all()
-            if accepted:
-                U, u_norm = previous.copy(), ends[-1]
-            else:
-                U = stepwise(U, start, stop)
-                u_norm = abs(U).max()
-        n += blocks * k
+        # the forcing stack of a block of k steps is the head of the longest one
+        W = _forcing_stack(powers, D, min(K, N))
+        n = 0
+        u_norm = abs(U).max()
+        for k in (K, N % K):
+            blocks = (N - n) // k if k else 0
+            if not blocks:
+                continue
+            Wk = W[:k * T]
+            bounds = forcing_bound[n:n + blocks * k].reshape(blocks, k).sum(axis=1)
+            # the samples of each block, last step first, read against the stack
+            g = samples[n:n + blocks * k].reshape(blocks, k, T)[:, ::-1].reshape(blocks, k * T)
+            # the widest forcing product: its samples through the stack head,
+            # or the m + 2 nodal values of a general term's field through its map
+            part = _chunk_blocks(m, max(k * T * r, m + 2 if general else 1))
+            span = max(part, Q * Q)
+            scratch = np.empty((min(span, blocks), m * r)) if history is None else None
+            first = 0
+            while first < blocks:
+                # groups of Q, and the blocks left over one at a time
+                q = Q if min(span, blocks - first) >= Q else 1
+                last = first + min(span, blocks - first) // q * q
+                start, stop = n + first * k, n + last * k
+                rows = scratch[:last - first] if history is None else history[start + 1:stop + 1]
+                forced = False
+                for a in range(first, last, part):
+                    b = min(a + part, last)
+                    forcing = rows[a - first:b - first]
+                    if g[a:b].any():
+                        np.matmul(g[a:b], Wk, out=forcing)
+                        forced = True
+                    else:
+                        forcing[...] = 0.0
+                    if general is not None and general(n + a * k, n + b * k, forcing):
+                        forced = True
+                groups = rows.reshape(-1, q, m * r)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    pushed = bounds[first:last]  # the forcing bound of each group
+                    if q > 1:  # taken before the fill, without holding |rows|
+                        pushed = 0.0 if not forced else np.maximum(
+                            groups.max(axis=2), -groups.min(axis=2)).sum(axis=1)
+                    Lq, Rq = powers[-1] if q > 1 else _block_power(powers, k)
+                    previous = _fill_groups(groups, U, L, Lq, Rq, forced)
+                    ends = np.abs(groups[:, -1]).max(axis=1)
+                    accepted = (ends <= _BLOCK_LIMIT).all()  # False for inf or NaN
+                    if q > 1:  # the rows inside the groups, without holding their |.|
+                        inner = groups[:, :-1]
+                        accepted &= inner.max() <= _BLOCK_LIMIT and -inner.min() <= _BLOCK_LIMIT
+                    if k * q > 1:
+                        before = np.concatenate(([u_norm], ends[:-1]))
+                        accepted &= (gamma * (before + pushed) <= _BLOCK_LIMIT).all()
+                if accepted:
+                    U, u_norm = previous.copy(), ends[-1]
+                else:
+                    U = stepwise(U, start, stop)
+                    u_norm = abs(U).max()
+                first = last
+            n += blocks * k
     return U
 
 
+def _group_steps(n, Q):
+    """Steps of a group where a chunk may hold n steps: the largest power of
+    two whose square is at most n (1 for n < 1), and at most Q."""
+    return min(Q, 1 << max(0, math.isqrt(n).bit_length() - 1))
+
+
+def _fill_groups(groups, U, L, Lq, Rq, forced):
+    """Fill ``groups``, J groups of q rows each holding one block's forcing
+    (and for q > 1 one step's, on a vector state), with the states of the
+    blocks from U on; returns the last.  ``forced`` is False where all the
+    forcing is zero.
+
+    A row holds its block's state transposed (see _forcing_stack).  The
+    states of a group from its start S are L^(i+1) S plus the particular
+    part, the sum of L^(i-l) d_l over its steps l <= i.  Three passes:
+    the particular parts of all J groups at once, q - 1 products of a
+    (J, m) block with L^T, none for zero forcing; the group ends, one
+    after the other, S_(j+1) = L^q S_j (R^q)^T + particular part, the only
+    dependent products; then the homogeneous parts of all groups at once,
+    q - 1 more products with L^T.  For q = 1 only the ends are left: one
+    product a block.
+    """
+    J, q, _ = groups.shape
+    vector = U.ndim == 1
+    if q > 1 and forced:
+        for i in range(1, q):
+            groups[:, i] += groups[:, i - 1] @ L.T
+    ends = groups[:, -1]
+    states = ends if vector else ends.reshape(J, -1, len(Lq)).transpose(0, 2, 1)
+    RqT = Rq.T
+    previous = U
+    for state in states:
+        state += Lq @ previous if vector else Lq @ previous @ RqT
+        previous = state
+    if q > 1:
+        Y = np.concatenate((U[None], ends[:-1]))  # the group starts
+        for i in range(q - 1):
+            Y = Y @ L.T
+            groups[:, i] += Y
+    return previous
+
+
 def _chunk_blocks(m, width):
-    """Blocks of one chunk, for m unknowns and forcing products of ``width``
-    multiply-adds a block and unknown: as many as keep each product of a
-    chunk below 2^19 multiply-adds, and at most _BLOCK.
+    """Blocks of one forcing product, for m unknowns and forcing products of
+    ``width`` multiply-adds a block and unknown: as many as keep each
+    product below 2^19 multiply-adds, and at most _BLOCK.  Blocks of K > 1
+    steps go in chunks of this many; a chunk of one-step blocks writes its
+    forcing in parts of this many, so that a plain source's stacked fields
+    stay this small however long the chunk.
 
     Up to 2^19 OpenBLAS keeps a product on one thread: on 2 cores shared
     with other load, a threaded 64-row product between the steps waited some
-    2.5 ms for its second thread, against 0.2 ms for the whole product.  One
-    product for the whole run (2000 x 201 @ 201 x 199) is no cheaper: it
-    wakes the threaded pool, and four such history runs at 199 unknowns took
-    0.20-0.22 s against 0.16 s in chunks, a later symbol check 25-31 ms
-    against 21-23 ms, with 10 MB more peak memory.
+    2.5 ms for its second thread, against 0.2 ms for the whole product.
     """
     return max(1, min(_BLOCK, 2**19 // (m * width)))
 

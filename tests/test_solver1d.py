@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve, solve_toeplitz, toeplitz
 
-from tempfrac import solver1d
+from tempfrac import _blas, solver1d
 from tempfrac.calculus import TemperedParams
 from tempfrac.operators import (CompactMatrixB, Grid1D, TimeGrid, P_column_row, apply_compact,
                                 assemble_B, assemble_P)
@@ -646,6 +646,186 @@ class TestChunkMarching:
             solver1d._march(lambda U, f: 1e200 * U + f[0], 1, U0, TimeGrid(1.0, 10), terms,
                             history=np.empty((11, 3)))
         assert err.value.step == 1
+
+
+class CountingMatrix(np.ndarray):
+    """An array that counts the matrix-vector products taken with it, and
+    passes the count on to the matrices formed from it (its powers)."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        def plain(x):
+            return x.view(np.ndarray) if isinstance(x, CountingMatrix) else x
+
+        result = getattr(ufunc, method)(*map(plain, inputs), **{
+            key: tuple(map(plain, value)) if key == "out" else value
+            for key, value in kwargs.items()})
+        if ufunc is not np.matmul:
+            return result
+        if min(np.ndim(x) for x in inputs) == 1:
+            MATVECS.append(1)
+            return result
+        return result.view(CountingMatrix)
+
+
+MATVECS = []
+
+
+def group_steps(N):
+    """Steps of a group in a history run of N one-step blocks at a price of
+    64-step blocks: the largest power of two whose square is at most N."""
+    return solver1d._group_steps(N, 64)
+
+
+class TestGroupedFill:
+    """Chunks of one-step blocks filled in groups of q steps: q - 1 products
+    of all the groups with G^T for their particular parts and as many for
+    their homogeneous ones, the group ends chained through G^q."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        side=st.sampled_from(["left", "right"]),
+        plain=st.booleans(),
+        store_history=st.booleans(),
+        alpha=st.floats(1.05, 1.95),
+        M=st.integers(150, 230),
+        N=st.integers(128, 3000),
+    )
+    @example(side="left", plain=True, store_history=True, alpha=1.5, M=200, N=2999)
+    def test_fill_equals_stepwise_history(self, side, plain, store_history, alpha, M, N):
+        # groups of q steps, q^2 <= N < 4 q^2: with N >= 2 q^2 a history
+        # spans two or three chunks of q^2 steps (q groups each), and the
+        # N mod q steps left over go one at a time.  A separable source
+        # without a history marches in blocks of K > 1
+        q = group_steps(N)
+        assume(N >= 2 * q * q and N % q and (plain or store_history))
+        spec = manufactured_spec(side, alpha, M, N)
+        if plain:
+            spec = plain_source(spec)
+        with block_steps(1):
+            ref = SOLVERS[side](spec, store_history=store_history)
+        with block_steps(64), mock.patch.object(solver1d, "_fill_groups",
+                                                wraps=solver1d._fill_groups) as fill:
+            got = SOLVERS[side](spec, store_history=store_history)
+        lengths = [c.args[0].shape[1] for c in fill.call_args_list]
+        assert len(lengths) >= 3
+        # a scratch buffer holds at most _BLOCK_FLOATS floats: shorter groups
+        assert set(lengths) == {q, 1} if store_history else max(lengths) > 1
+        if store_history:
+            scale = np.max(np.abs(ref.history), axis=1)
+            assert np.all(np.max(np.abs(got.history - ref.history), axis=1) <= 1e-12 * scale)
+        assert np.max(np.abs(got.values - ref.values)) <= 1e-12 * np.max(np.abs(ref.values))
+
+    @pytest.mark.parametrize("side", sorted(SOLVERS))
+    def test_zero_data_keeps_an_exactly_zero_history_and_forms_no_forcing_map(self, side):
+        # the LU solves form G and, with a far trace, the trace terms' D; a
+        # plain source's forcing map is formed only for a nonzero field
+        setup = 1 if side == "two_sided" else 2
+        with block_steps(64), mock.patch.object(solver1d, "lu_solve", wraps=lu_solve) as solves:
+            sol = SOLVERS[side](zero_spec(side, M=200, N=2000), store_history=True)
+        assert np.array_equal(sol.history, np.zeros((2001, 201)))
+        assert solves.call_count == setup
+        spec = plain_source(manufactured_spec(side, 1.5, 200, 2000))
+        with block_steps(64), mock.patch.object(solver1d, "lu_solve", wraps=lu_solve) as solves:
+            SOLVERS[side](spec, store_history=True)
+        assert solves.call_count == setup + 1
+
+    def spiked(self, size, T):
+        # a source that is zero but at step 45, inside the second group of
+        # 32 steps (33 to 64)
+        spec = case_ex5_1(1.5, 1.0, j=5, T=T).build_spec(1.0 / 200)(2000)
+        tau = spec.time.tau
+        spike = lambda x, t: np.full_like(x, size if abs(t - 45 * tau) < 0.5 * tau else 0.0)
+        assert group_steps(2000) == 32
+        return ProblemSpec1D(**{**spec.__dict__, "source": spike})
+
+    def test_spike_inside_a_group_blows_up_at_its_step(self):
+        with block_steps(64), pytest.raises(BlowupError) as err:
+            solve_left(self.spiked(1e40, 1.0), store_history=True)
+        assert err.value.step == 45
+
+    def test_replayed_group_chunk_keeps_every_row(self):
+        # tau 0.005: the spike's row reaches 1.5e24, past _BLOCK_LIMIT and
+        # short of _BLOWUP_LIMIT, so only the first chunk (steps 1 to 1024)
+        # is replayed, and the chunks after it resume from its state
+        spec = self.spiked(3e26, 10.0)
+        with block_steps(1):
+            ref = solve_left(spec, store_history=True).history
+        replays = []
+        march = solver1d._march_blocks
+
+        def spy(step, U, samples, per_stage, factors, K, stepwise, *rest):
+            def replay(U, start, stop):
+                replays.append((start, stop))
+                return stepwise(U, start, stop)
+            return march(step, U, samples, per_stage, factors, K, replay, *rest)
+
+        with block_steps(64), mock.patch.object(solver1d, "_march_blocks", spy):
+            got = solve_left(spec, store_history=True).history
+        assert replays == [(0, 1024)]
+        peak = np.max(np.abs(ref), axis=1)
+        assert solver1d._BLOCK_LIMIT < peak.max() < solver1d._BLOWUP_LIMIT
+        assert np.all(np.max(np.abs(got - ref), axis=1) <= 1e-12 * peak)
+
+    def test_growing_step_keeps_to_the_stepwise_history(self):
+        # at lam*h = 3 G grows round-off by orders of magnitude over a group,
+        # so a group's parts dwarf its states: the growth bound sends the
+        # chunks back to the stages (one product a step on G drifted by
+        # 2.4e-6 here)
+        alpha, lam_h, M = 1.5263556156623375, 3.0125267724554714, 53
+        spec = case_ex5_1(alpha, lam_h * M, j=5).build_spec(1.0 / M)(300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with block_steps(1):
+                ref = solve_left(spec, store_history=True).history
+            with block_steps(64):
+                got = solve_left(spec, store_history=True).history
+        scale = np.max(np.abs(ref), axis=1)
+        assert np.all(np.max(np.abs(got - ref), axis=1) <= 1e-12 * scale)
+
+    def test_fill_runs_on_one_blas_thread(self):
+        # the fill's products and the squarings that form G^q run with
+        # every OpenBLAS pool capped at one thread, restored afterwards
+        seen = []
+
+        def spy(fn):
+            def counted(*args, **kwargs):
+                seen.append([get() for get, _ in _blas._pools()])
+                return fn(*args, **kwargs)
+            return counted
+
+        spec = case_ex5_1(1.5, 1.0, j=5).build_spec(1.0 / 200)(2000)
+        before = [get() for get, _ in _blas._pools()]
+        with mock.patch.object(solver1d, "_fill_groups", spy(solver1d._fill_groups)), \
+                mock.patch.object(solver1d, "_block_power", spy(solver1d._block_power)):
+            solve_left(spec, store_history=True)
+        assert len(seen) >= 4
+        assert seen == [[1] * len(before)] * len(seen)
+        assert [get() for get, _ in _blas._pools()] == before
+
+    def test_history_run_takes_one_product_with_G_per_group(self):
+        # a 2000-step history run at 199 unknowns: the group ends chain
+        # through G^32, so about N / 32 dependent matrix-vector products,
+        # against N one step at a time
+        spec = case_ex5_1(1.5, 1.0, j=5).build_spec(1.0 / 200)(2000)
+        march = solver1d._march_blocks
+
+        def counting(step, U, samples, per_stage, factors, *rest):
+            def counted():
+                L, R = factors()
+                return L.view(CountingMatrix), R
+            return march(step, U, samples, per_stage, counted, *rest)
+
+        MATVECS.clear()
+        with mock.patch.object(solver1d, "_march_blocks", counting):
+            got = solve_left(spec, store_history=True).history
+        assert solver1d._group_steps(2000, solver1d._block_steps(199, 2000, 1, 2)) == 32
+        assert 2000 / 32 <= len(MATVECS) <= 2000 / 16
+        MATVECS.clear()
+        with mock.patch.object(solver1d, "_march_blocks", counting), \
+                mock.patch.object(solver1d, "_group_steps", lambda n, Q: 1):
+            want = solve_left(spec, store_history=True).history
+        assert len(MATVECS) == 2000
+        assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * np.max(np.abs(want), axis=1))
 
 
 def field_spec(side, initial, source):
