@@ -58,12 +58,21 @@ One marcher then takes one of two paths:
   reach their d_n through one product with the forcing map
   step(0, stencil(I)), formed like G, and only once some field is not all
   zero.  The d_n are written straight into the rows of the history, which
-  are then filled in place in groups of q steps: the group ends one after
-  another through G^q, and everything else in products of all the groups
-  at once with G^T, on one BLAS thread, so that the chain of dependent
-  products is N / q long instead of N.  One loop serves every block size:
-  the blocks go in chunks, each chunk's forcing a few products, its states
-  checked once.
+  are then filled in place in groups of K steps: the group ends one after
+  another through G^K, and everything else in products of all the groups
+  at once with G^T, so that the chain of dependent products is N / K long
+  instead of N.  Blocks and groups take one length K, the largest power of
+  two up to 64 with K^2 <= N whose forcing stack fits 1 MiB (see
+  _block_steps), and one loop serves both: the units go in chunks, each
+  chunk's forcing a few products, its states checked once.
+
+The block and group paths agree with the stepwise one to round-off: to
+1e-12 relative to the run's peak, and to 1e-12 per stored row for runs of
+up to 10^4 steps.  Two round-off paths drift apart about linearly in the
+step count, so a row that has decayed far below the peak of a longer run
+may differ by more (2.1e-12 at 20,000 steps on a history at M = 400 whose
+rows decay 40-fold).  A solve builds its stages, forms G and marches on one
+BLAS thread (see :mod:`tempfrac._blas`).
 
 Any non-finite value, or a sup-norm beyond 1e30, aborts with
 :class:`BlowupError` carrying the failing step index; that is the diagnostic
@@ -78,7 +87,6 @@ Runs share no mutable state and may execute concurrently.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import operator
@@ -108,8 +116,11 @@ _BLOWUP_LIMIT = 1e30
 # A block is accepted only when its bound stays this far below the limit, so
 # that round-off between the paths cannot change which step crosses it.
 _BLOCK_LIMIT = 1e-6 * _BLOWUP_LIMIT
+# a block is at most this many steps (see _block_steps)
 _BLOCK = 64
-# the W stack of a block holds at most this many floats (1 MiB)
+# what the march holds besides L, R, their squarings and the history: the
+# forcing stack of a block takes at most this many floats (1 MiB), and so do
+# a chunk's scratch rows and a general term's stacked fields together
 _BLOCK_FLOATS = 2**17
 # stage matrices of at least this dimension are solved and applied through
 # their Toeplitz structure where lam*h <= 1 (see _toeplitz_map)
@@ -271,30 +282,29 @@ def _source_term(source, space, shift, stencil):
 
 
 def _block_steps(m, N, r=1, terms=1):
-    """Steps per block for an (m, r) state, N steps and ``terms`` forcing
-    terms; 1 selects the stepwise path.
+    """The block length K of a run of N steps on an (m, r) state with
+    ``terms`` scalar forcing terms; 1 selects the stepwise path.
 
     Forming the factors L, R and their powers costs about 32 (m^3 + r^3)
-    flops.  Each block step saves the per-step overhead (some 40 us) and the
-    flops of a stepwise step: 2 m^2 for a vector state (r = 1, one LU solve)
-    and 2 m r (m + r) in 2D (the two dense products of L U R^T).  At 0.5 ns
-    per flop the block path pays when N (4e4 + half those flops) >=
+    flops.  Each compiled step saves the per-step overhead (some 40 us) and
+    the flops of a stepwise step: 2 m^2 for a vector state (r = 1, one LU
+    solve) and 2 m r (m + r) in 2D (the two dense products of L U R^T).  At
+    0.5 ns per flop compiling pays when N (4e4 + half those flops) >=
     16 (m^3 + r^3), which in 2D means from about 12 to 16 steps at
     m = r = 39 to 239; measured on 2 cores (best of 5), the 2D block path
     breaks even with the stepwise one between 8 and 32 steps there.
-    A block is the largest power of two up to _BLOCK steps whose forcing
-    stack, K terms m r floats, fits in _BLOCK_FLOATS.  A run with a stored
-    history or a plain source marches in blocks of one step, in groups of
-    up to K steps (see _march_blocks): its set-up is G and the log2 K
-    squarings that give G^K, at most 14 m^3 flops, inside the same term.
-    At m = 199 on one BLAS thread G took about 0.5 ms and each squaring
-    0.34 ms.
+
+    Where it pays, K is the largest power of two up to _BLOCK with
+    K^2 <= N whose forcing stack, K terms m r floats, fits in
+    _BLOCK_FLOATS: setting up a block costs about K products (the stack,
+    or the two inner passes of a group of K one-step blocks, see
+    _march_blocks) against the N / K dependent ones of the march.
     """
     saved = m * m if r == 1 else m * r * (m + r)
     if N * (4e4 + saved) < 16.0 * (m**3 + r**3):
         return 1
     K = _BLOCK
-    while K > 1 and K * terms * m * r > _BLOCK_FLOATS:
+    while K > 1 and (K * K > N or K * terms * m * r > _BLOCK_FLOATS):
         K //= 2
     return K
 
@@ -312,10 +322,10 @@ def _march(step, stages, U, time, terms, history=None, factors=None, toeplitz_st
     Row n of ``history``, an (N + 1, m) array when given, receives the
     state after n steps.
 
-    Where the price of _block_steps says a dense L pays, a run whose terms
-    are all scalar-times-vector marches in blocks of steps, and a vector
-    state with a general term or a history in blocks of one step on L = G,
-    in groups of up to the price's block length (see _march_blocks).
+    Where _block_steps gives a block length K > 1, a run whose terms are all
+    scalar-times-vector marches in blocks of K steps, and a vector state
+    with a general term or a history in blocks of one step on L = G, in
+    groups of K (see _march_blocks).
     ``toeplitz_stages`` marks steps served through their Toeplitz structure
     (see _toeplitz_map): their O(m log m) solves beat any dense G, so those
     runs always take the stages.  A matrix state with a general term steps on ``step`` itself,
@@ -355,11 +365,6 @@ def _march(step, stages, U, time, terms, history=None, factors=None, toeplitz_st
         return stepwise(U, 0, N)
     if factors is None:
         factors = lambda: (step(np.eye(m), [0.0] * stages), np.ones((1, 1)))
-    Q = 1
-    if general or history is not None:
-        # every state is recorded, or the forcing is not scalar-times-vector:
-        # blocks of one step, in groups of up to K (see _march_blocks)
-        K, Q = 1, K
 
     @functools.cache
     def forcing_map(term):
@@ -380,7 +385,7 @@ def _march(step, stages, U, time, terms, history=None, factors=None, toeplitz_st
         return forced
 
     return _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history,
-                         general_forcing if general else None, Q)
+                         general_forcing if general else None)
 
 
 def _sample(terms, N, tau):
@@ -429,56 +434,44 @@ def _sample_run(fn, first, count, tau):
     return np.fromiter((fn((j + first) * tau) for j in range(count)), float, count)
 
 
-def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, general, Q=1):
-    """Blocks of K steps, then one block of the N mod K steps left over,
-    all by one loop; ``stepwise`` is the reference it falls back on.
+def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, general):
+    """Units of K steps, then one unit of the N mod K steps left over, all
+    by one loop; ``stepwise`` is the reference it falls back on.
 
     With (L, R) = factors() a step maps the (m, r) state U to
-    L U R^T + sum_t c_t D_t, where D_t = step(0, vectors of term t).  A block
-    of k steps maps U to L^k U (R^k)^T plus the sum over its steps i and
-    terms t of samples[n + i, t] L^(k-1-i) D_t (R^(k-1-i))^T, one row of the
-    product of the block's samples, last step first, with the head of the
-    forcing stack (see _forcing_stack).  A block of one step is the case
-    k = 1, whose head is D^T: the only block size of a run with a stored
-    history (K = 1, one row a step) or with general terms, whose forcing
-    ``general(start, stop, rows)`` adds to the rows of those steps and says
-    whether it added any.
+    L U R^T + sum_t c_t D_t, where D_t = step(0, vectors of term t), and a
+    unit of k steps maps it to L^k U (R^k)^T plus the unit's forcing.  A
+    run that records every state (a stored ``history``) or has general
+    terms (``general(start, stop, rows)`` adds their forcing to the rows of
+    those steps and says whether it added any) takes groups of one-step
+    blocks for units: one row a step, holding d_n = sum_t samples[n, t] D_t.
+    Any other run takes blocks of steps: one row a block, the sum over its
+    steps i and terms t of samples[n + i, t] L^(k-1-i) D_t (R^(k-1-i))^T,
+    one row of the product of the block's samples, last step first, with
+    the head of the forcing stack (see _forcing_stack).
 
-    The blocks go a chunk at a time.  A chunk's forcing is written into its
-    rows of ``history`` or of one scratch buffer, one product a part of at
-    most _chunk_blocks blocks, none where its samples are all zero.  Then
-    _fill_groups fills the rows with the states, in groups of q blocks
-    whose ends follow one another through L^(k q) and R^(k q).  Blocks of
-    k > 1 steps take q = 1.  One-step blocks take groups of Q: the largest
-    power of two up to ``Q``, the block length the price of _block_steps
-    gives the run, whose square is at most N (and fits a scratch buffer in
-    _BLOCK_FLOATS floats).  A chunk then holds Q groups, the last one as
-    many as are left, and the N mod Q steps left over go one at a time.
-    The log2 Q squarings that give G^Q, and the fill, run on one BLAS
-    thread (see :mod:`tempfrac._blas`): uncapped, the (32 x 199)
-    (199 x 199) products of the fill woke OpenBLAS's threaded pool, and in
-    history runs at 199 unknowns the next LU factor took up to 75-81 ms
-    (at most 1.1 ms capped) and one run in ten 96-139 ms (26-28 ms).
+    The units go a chunk at a time, at most K of them (K^2 <= N steps).  A
+    chunk's rows are rows of ``history`` or of one scratch buffer, and the
+    scratch rows and a general term's fields stay within _BLOCK_FLOATS
+    floats: without a history a chunk holds only as many units as fit with
+    their fields, and at least one.  The rows receive the chunk's forcing
+    in one product, none where its samples are all zero, and a general
+    term's in parts of as many steps as fit what the rows leave; then
+    _fill_groups fills them with the states, the unit ends following one
+    another through L^k and R^k.
 
     With gamma, the product of the infinity norms of the powers of L and R,
-    bounding the growth of any j <= max(K, Q) steps, a chunk is accepted
-    only when every row is finite and within _BLOCK_LIMIT and so is
-    gamma (|state before a group| + the sup-norm bound of the forcing in
+    bounding the growth of any j <= K steps, a chunk is accepted only when
+    every row is finite and within _BLOCK_LIMIT and so is
+    gamma (|state before a unit| + the sup-norm bound of the forcing in
     it): no step inside a block, and no part a group's rows are summed
-    from, can then have come near the limit.  A one-step block alone is its
-    own only state, accepted on its row alone.  A chunk that fails is
-    replayed from its start by ``stepwise``, which rewrites its rows and
-    raises at the exact step.  Where G grows states, gamma is large and
-    such chunks go back to the stepwise path: stored histories of ex5_1 at
-    lam*h from 1.5 to 6 kept within 2.1e-13 of it, where one product a step
-    on G drifted by up to 2.4e-6.
-
-    A homogeneous run with a stored history and a plain zero source at 199
-    unknowns and 2000 steps (groups of 32) costs about 7 us a step on a
-    shared 2-core host, against 12 us at one product with G a step: 2-3 us
-    in the source, which is still called once per step, about 2.3 us in the
-    fill's (32 x 199) (199 x 199) products, and about 1 us for the five
-    squarings that give G^32 and the 78 dependent products of the chain.
+    from, can then have come near the limit.  A one-step unit is its own
+    only state, accepted on its row alone.  A chunk that fails is replayed
+    from its start by ``stepwise``, which rewrites its rows and raises at
+    the exact step.  Where G grows states, gamma is large and such chunks
+    go back to the stepwise path: stored histories of ex5_1 at lam*h from
+    1.5 to 6 kept within 2.1e-13 of it, where one product a step on G
+    drifted by up to 2.4e-6.
     """
     N, T = samples.shape
     shape = U.shape
@@ -491,97 +484,79 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
         D = step(np.zeros((m, T)), [np.column_stack(v) for v in per_stage])[:, :, None]
     else:
         D = np.stack([step(np.zeros(shape), list(v)) for v in zip(*per_stage)], axis=1)
-    # a chunk of Q groups holds at most N steps, and a scratch buffer for it
-    # at most _BLOCK_FLOATS floats
-    Q = _group_steps(N if history is not None else min(N, _BLOCK_FLOATS // (m * r)), Q)
+    grouped = history is not None or general is not None
 
-    with single_thread() if Q > 1 else contextlib.nullcontext():
-        # L^(2^i) and R^(2^i) for every bit of K and Q; since
-        # ||L V R^T||_max <= ||L||_inf ||V||_max ||R||_inf, the product of
-        # their norms (at least 1 each) bounds the growth of any
-        # j <= max(K, Q) steps.  An unstable step may overflow them: gamma
-        # is then inf or NaN, and every chunk is replayed.  One-step blocks
-        # keep only L and L^Q.
-        powers, norms = [(L, R)], []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(max(K, Q).bit_length()):
-                if i:
-                    Lp, Rp = powers[-1]
-                    powers.append((Lp @ Lp, Rp @ Rp))
-                    if K == 1:
-                        del powers[1:-1]
-                # ||P||_inf of the new powers (a vector state's R is [[1]])
-                norms += [np.abs(P).sum(axis=1).max() for P in powers[-1][:1 if r == 1 else 2]]
-        # Python floats overflow to inf silently; np.maximum keeps a NaN
-        gamma = math.prod(np.maximum(1.0, norms).tolist())
-        # sup-norm bound of each step's forcing, summed per block below
-        forcing_bound = np.abs(samples) @ np.max(np.abs(D), axis=(0, 2))
+    # L^(2^i) and R^(2^i) for every bit of K; since
+    # ||L V R^T||_max <= ||L||_inf ||V||_max ||R||_inf, the product of their
+    # norms (at least 1 each; a vector state's R is [[1]]) bounds the growth
+    # of any j <= K steps.  An unstable step may overflow them: gamma is
+    # then inf or NaN, and every chunk is replayed.
+    powers = [(L, R)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(K.bit_length() - 1):
+            Lp, Rp = powers[-1]
+            powers.append((Lp @ Lp, Rp @ Rp))
+        norms = [np.abs(P).sum(axis=1).max() for pair in powers for P in pair[:1 if r == 1 else 2]]
+    # Python floats overflow to inf silently; np.maximum keeps a NaN
+    gamma = math.prod(np.maximum(1.0, norms).tolist())
+    # sup-norm bound of each step's forcing, summed per unit below
+    forcing_bound = np.abs(samples) @ np.max(np.abs(D), axis=(0, 2))
 
-        # the forcing stack of a block of k steps is the head of the longest one
-        W = _forcing_stack(powers, D, min(K, N))
-        n = 0
-        u_norm = abs(U).max()
-        for k in (K, N % K):
-            blocks = (N - n) // k if k else 0
-            if not blocks:
-                continue
-            Wk = W[:k * T]
-            bounds = forcing_bound[n:n + blocks * k].reshape(blocks, k).sum(axis=1)
-            # the samples of each block, last step first, read against the stack
-            g = samples[n:n + blocks * k].reshape(blocks, k, T)[:, ::-1].reshape(blocks, k * T)
-            # the widest forcing product: its samples through the stack head,
-            # or the m + 2 nodal values of a general term's field through its map
-            part = _chunk_blocks(m, max(k * T * r, m + 2 if general else 1))
-            span = max(part, Q * Q)
-            scratch = np.empty((min(span, blocks), m * r)) if history is None else None
-            first = 0
-            while first < blocks:
-                # groups of Q, and the blocks left over one at a time
-                q = Q if min(span, blocks - first) >= Q else 1
-                last = first + min(span, blocks - first) // q * q
-                start, stop = n + first * k, n + last * k
-                rows = scratch[:last - first] if history is None else history[start + 1:stop + 1]
-                forced = False
-                for a in range(first, last, part):
-                    b = min(a + part, last)
-                    forcing = rows[a - first:b - first]
-                    if g[a:b].any():
-                        np.matmul(g[a:b], Wk, out=forcing)
-                        forced = True
-                    else:
-                        forcing[...] = 0.0
-                    if general is not None and general(n + a * k, n + b * k, forcing):
-                        forced = True
-                groups = rows.reshape(-1, q, m * r)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    pushed = bounds[first:last]  # the forcing bound of each group
-                    if q > 1:  # taken before the fill, without holding |rows|
-                        pushed = 0.0 if not forced else np.maximum(
-                            groups.max(axis=2), -groups.min(axis=2)).sum(axis=1)
-                    Lq, Rq = powers[-1] if q > 1 else _block_power(powers, k)
-                    previous = _fill_groups(groups, U, L, Lq, Rq, forced)
-                    ends = np.abs(groups[:, -1]).max(axis=1)
-                    accepted = (ends <= _BLOCK_LIMIT).all()  # False for inf or NaN
-                    if q > 1:  # the rows inside the groups, without holding their |.|
-                        inner = groups[:, :-1]
-                        accepted &= inner.max() <= _BLOCK_LIMIT and -inner.min() <= _BLOCK_LIMIT
-                    if k * q > 1:
-                        before = np.concatenate(([u_norm], ends[:-1]))
-                        accepted &= (gamma * (before + pushed) <= _BLOCK_LIMIT).all()
-                if accepted:
-                    U, u_norm = previous.copy(), ends[-1]
-                else:
-                    U = stepwise(U, start, stop)
-                    u_norm = abs(U).max()
-                first = last
-            n += blocks * k
+    # the forcing stack of a block of k steps is the head of the longest one
+    W = _forcing_stack(powers, D, 1 if grouped else K)
+    # a step's fields take 2 (m + 2) floats, as returned and stacked
+    fields = 2 * (m + 2) if general else 0
+    n = 0
+    u_norm = abs(U).max()
+    for length in (K, N % K):
+        units = (N - n) // length if length else 0
+        if not units:
+            continue
+        k, q = (1, length) if grouped else (length, 1)
+        span, left, scratch = min(units, K), _BLOCK_FLOATS, None
+        if history is None:  # scratch rows for the units, with their fields
+            span = min(span, max(1, _BLOCK_FLOATS // (q * (m * r + fields))))
+            scratch = np.empty((span * q, m * r))
+            left -= scratch.size
+        part = max(1, left // max(1, fields))
+        Wk = W[:k * T]
+        Lk, Rk = _block_power(powers, length)
+        bounds = forcing_bound[n:n + units * length].reshape(units, length).sum(axis=1)
+        # one row of samples a row of the chunk, a block's last step first
+        g = samples[n:n + units * length].reshape(units * q, k, T)[:, ::-1].reshape(units * q, k * T)
+        for first in range(0, units, span):
+            last = min(first + span, units)
+            start, stop = n + first * length, n + last * length
+            rows = scratch[:(last - first) * q] if history is None else history[start + 1:stop + 1]
+            forced = g[first * q:last * q].any()
+            if forced:
+                np.matmul(g[first * q:last * q], Wk, out=rows)
+            else:
+                rows[...] = 0.0
+            if general is not None:
+                for a in range(start, stop, part):
+                    forced |= general(a, min(a + part, stop), rows[a - start:a - start + part])
+            groups = rows.reshape(-1, q, m * r)
+            with np.errstate(over="ignore", invalid="ignore"):
+                pushed = bounds[first:last]  # the forcing bound of each unit
+                if grouped and forced:  # general terms too, before the fill, without |rows|
+                    pushed = np.maximum(groups.max(axis=2), -groups.min(axis=2)).sum(axis=1)
+                previous = _fill_groups(groups, U, L, Lk, Rk, forced)
+                ends = np.abs(groups[:, -1]).max(axis=1)
+                accepted = (ends <= _BLOCK_LIMIT).all()  # False for inf or NaN
+                if q > 1:  # the rows inside the groups, without holding their |.|
+                    inner = groups[:, :-1]
+                    accepted &= inner.max() <= _BLOCK_LIMIT and -inner.min() <= _BLOCK_LIMIT
+                if length > 1:
+                    before = np.concatenate(([u_norm], ends[:-1]))
+                    accepted &= (gamma * (before + pushed) <= _BLOCK_LIMIT).all()
+            if accepted:
+                U, u_norm = previous.copy(), ends[-1]
+            else:
+                U = stepwise(U, start, stop)
+                u_norm = abs(U).max()
+        n += units * length
     return U
-
-
-def _group_steps(n, Q):
-    """Steps of a group where a chunk may hold n steps: the largest power of
-    two whose square is at most n (1 for n < 1), and at most Q."""
-    return min(Q, 1 << max(0, math.isqrt(n).bit_length() - 1))
 
 
 def _fill_groups(groups, U, L, Lq, Rq, forced):
@@ -620,21 +595,6 @@ def _fill_groups(groups, U, L, Lq, Rq, forced):
     return previous
 
 
-def _chunk_blocks(m, width):
-    """Blocks of one forcing product, for m unknowns and forcing products of
-    ``width`` multiply-adds a block and unknown: as many as keep each
-    product below 2^19 multiply-adds, and at most _BLOCK.  Blocks of K > 1
-    steps go in chunks of this many; a chunk of one-step blocks writes its
-    forcing in parts of this many, so that a plain source's stacked fields
-    stay this small however long the chunk.
-
-    Up to 2^19 OpenBLAS keeps a product on one thread: on 2 cores shared
-    with other load, a threaded 64-row product between the steps waited some
-    2.5 ms for its second thread, against 0.2 ms for the whole product.
-    """
-    return max(1, min(_BLOCK, 2**19 // (m * width)))
-
-
 def _block_power(powers, k):
     """L^k and R^k from the squarings (L^(2^i), R^(2^i))."""
     Lk = Rk = None
@@ -657,10 +617,8 @@ def _forcing_stack(powers, D, k):
     X = np.empty((k * T, r, m))
     X[:T] = D.transpose(1, 2, 0)
     # filled by doubling: the first w entries through L^w and R^w give the
-    # next w, one product through L and, in place, one through R; the
-    # products through R take chunks of at most _BLOCK_FLOATS / 8 floats,
-    # so that the stack is the only large array held
-    chunk = max(1, _BLOCK_FLOATS // (8 * m * r))
+    # next w, one product through L and one through R, whose result is held
+    # apart for a moment (at most half the stack)
     w = 1
     for L, R in powers:
         if w >= k:
@@ -668,23 +626,28 @@ def _forcing_stack(powers, D, k):
         c = min(w, k - w) * T
         Y = X[w * T:w * T + c]
         np.matmul(X[:c].reshape(c * r, m), L.T, out=Y.reshape(c * r, m))
-        for j in range(0, c, chunk):
-            Y[j:j + chunk] = R @ Y[j:j + chunk]
+        Y[...] = R @ Y
         w *= 2
     return X.reshape(k * T, r * m)
 
 
-def _solve(spec, stages, terms, store_history):
-    grid, time = spec.grid, spec.time
+def _solve(spec, thetas, P, terms, store_history):
+    """Run the scheme whose step is the theta-stage on ``side`` for each
+    (side, theta) of ``thetas`` in turn (see _stage), with the forcing
+    ``terms``.  The stages are built and the run marches on one BLAS thread
+    (see :mod:`tempfrac._blas`)."""
+    grid, time, lam = spec.grid, spec.time, spec.params.lam
     U0 = _field(spec.initial, "the initial data", (grid.M - 1,), grid.interior())
     history = None
     if store_history:  # the march fills the interior columns in place
         history = np.empty((time.N + 1, grid.M + 1))
         for column, trace in ((0, spec.boundary_left), (-1, spec.boundary_right)):
             history[:, column] = _sample_run(trace, 0.0, time.N + 1, time.tau)
-    U = _march(functools.partial(_apply_stages, stages), len(stages), U0, time, terms,
-               None if history is None else history[:, 1:-1],
-               toeplitz_stages=_toeplitz_stages(grid.M - 1, spec.params.lam * grid.h))
+    with single_thread():
+        stages = [_stage(side, grid, lam, P, time.tau, theta) for side, theta in thetas]
+        U = _march(functools.partial(_apply_stages, stages), len(stages), U0, time, terms,
+                   None if history is None else history[:, 1:-1],
+                   toeplitz_stages=_toeplitz_stages(grid.M - 1, lam * grid.h))
     values = _with_boundaries(spec, U, time.T)
     return Solution1D(grid=grid, time=time, values=values, history=history)
 
@@ -930,7 +893,7 @@ def _solve_one_sided(spec, side, store_history):
         _Term(far, 0.0, (trace_vector(1.0, 0.0),)),
         _Term(far, 1.0, (trace_vector(0.0, 1.0),)),
     )
-    return _solve(spec, (_stage(side, grid, params.lam, P, tau, 1.0),), terms, store_history)
+    return _solve(spec, ((side, 1.0),), P, terms, store_history)
 
 
 def solve_left(spec, store_history=False):
@@ -970,10 +933,9 @@ def solve_two_sided(spec, store_history=False):
 
     grid, tau, lam = spec.grid, spec.time.tau, spec.params.lam
     P = P_column_row(spec.params, grid, tau, include_tau=False)
-    stages = (_stage("left", grid, lam, P, tau, 0.0), _stage("right", grid, lam, P, tau, 1.0))
     half = 0.5 * tau
     term = _source_term(spec.source, (grid.nodes(),), 0.5, lambda F: (
         half * apply_compact("left", lam, grid.h, F),
         half * apply_compact("right", lam, grid.h, F),
     ))
-    return _solve(spec, stages, (term,), store_history)
+    return _solve(spec, (("left", 0.0), ("right", 1.0)), P, (term,), store_history)

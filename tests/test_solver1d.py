@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -295,7 +296,7 @@ class TestBlockMarching:
         K=st.integers(2, 80),
     )
     # runs over several chunks of blocks that end in a leftover block: at
-    # 9 unknowns a chunk is 64 blocks, 4096 steps for K = 64 and 448 for K = 7
+    # 9 unknowns a chunk is K blocks, 4096 steps for K = 64 and 49 for K = 7
     @example(side="left", alpha=1.5, M=10, N=2 * 4096 + 3 * 64 + 17, K=64)
     @example(side="two_sided", alpha=1.5, M=10, N=3 * 448 + 5, K=7)
     def test_blocks_equal_single_steps(self, side, alpha, M, N, K):
@@ -380,6 +381,23 @@ class TestBlockMarching:
             solver1d._march(step, 1, U0, TimeGrid(1.0, 2), terms, factors=factors)
         assert err.value.step == 1
 
+    @pytest.mark.parametrize("m,N,r,T,K", [
+        (199, 2000, 1, 2, 32),  # a history run at M = 200: K^2 <= N
+        (9, 100, 1, 3, 8),  # study1d's first level at tau = h^3
+        (39, 6400, 1, 3, 64),  # at most _BLOCK
+        (599, 30000, 1, 4, 32),  # the stack: 64 x 4 x 599 floats would not fit
+        (159, 100, 159, 1, 4),  # 2D at M = 160: the stack, 8 x 159^2 floats, would not fit
+        (119, 100, 119, 1, 8),
+        (79, 716, 79, 1, 16),
+    ])
+    def test_block_length_is_the_largest_power_of_two_that_fits(self, m, N, r, T, K):
+        # wherever compiling pays, one rule: the largest power of two up to
+        # _BLOCK = 64 with K^2 <= N whose forcing stack, K T m r floats, fits
+        # _BLOCK_FLOATS
+        fits = [k for k in (1, 2, 4, 8, 16, 32, 64)
+                if k * k <= N and k * T * m * r <= solver1d._BLOCK_FLOATS]
+        assert solver1d._block_steps(m, N, r, T) == max(fits) == K
+
     def test_block_path_only_where_dense_G_pays(self):
         # long runs on study grids march in blocks; wide grids with few
         # steps stay on the LU path and never form a dense G
@@ -389,24 +407,29 @@ class TestBlockMarching:
         assert solver1d._block_steps(3199, 16) == 1
 
     def test_history_and_plain_sources_step_on_the_compiled_G(self):
-        # a stored history and a plain-callable source march on G = step(I):
-        # one product a step, the LU solves only while G and the forcing
-        # maps are formed
+        # a stored history and a plain-callable source march on G = step(I)
+        # in one-step blocks, one row a step, filled in groups of the run's
+        # block length; the LU solves only form G and the forcing maps.  A
+        # separable run without a history takes blocks of that length, one
+        # row a block
         case = case_ex5_1(1.5, 1.0, j=5)
         spec = case.build_spec(0.1)(200)
         plain = plain_source(spec)
-        for run in (lambda: solve_left(spec, store_history=True), lambda: solve_left(plain),
-                    lambda: solve_left(plain, store_history=True)):
+        K = solver1d._block_steps(9, 200, 1, 3)
+        assert K == 8
+        for run, rows, steps in ((lambda: solve_left(spec, store_history=True), 200, K),
+                                 (lambda: solve_left(plain), 200, K),
+                                 (lambda: solve_left(plain, store_history=True), 200, K),
+                                 (lambda: solve_left(spec), 200 // K, 1)):
             with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks, \
+                    mock.patch.object(solver1d, "_fill_groups", wraps=solver1d._fill_groups) as fill, \
                     mock.patch.object(solver1d, "lu_solve", wraps=lu_solve) as solves:
                 run()
             assert blocks.call_count == 1
-            assert blocks.call_args.args[5] == 1  # blocks of one step
+            shapes = [c.args[0].shape[:2] for c in fill.call_args_list]
+            assert sum(J * q for J, q in shapes) == rows
+            assert {q for _, q in shapes} == {steps}  # rows a group
             assert solves.call_count <= 3
-        with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
-            solve_left(spec)
-        assert blocks.call_count == 1
-        assert blocks.call_args.args[5] > 1
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -506,12 +529,6 @@ class TestBlockMarching:
                 solver1d._apply_stages(stages, U, forcing)
 
 
-def chunk_steps(m):
-    """Steps of one chunk of a plain-source run on the compiled G at m
-    unknowns, whose widest product maps a step's m + 2 nodal values."""
-    return solver1d._chunk_blocks(m, m + 2)
-
-
 def polynomial_spec(side, u, p, M=12, N=150):
     """Initial data x (1 - x) poly(u) and the plain source cos(t) poly(p)."""
     return ProblemSpec1D(
@@ -533,25 +550,25 @@ class TestChunkMarching:
         plain=st.booleans(),
         alpha=st.floats(1.05, 1.95),
         M=st.integers(200, 230),
-        N=st.integers(2, 150),
+        N=st.integers(130, 300),
     )
     def test_history_at_full_chunks_equals_stepwise_history(self, side, plain, alpha, M, N):
-        # from 199 unknowns a chunk is at most 13 steps with a plain source
-        # and 64 with a separable one, so a run spans several chunks and,
-        # with a plain source, ends in a partial one.  Two-sided runs are left
-        # out: at this size their compiled G, a product through the explicit
+        # in groups of 8 steps a chunk is 8 groups, 64 steps, with a plain
+        # source or a separable one, so a run spans at least two full chunks
+        # and mostly ends in a partial one.  Two-sided runs are left out: at
+        # this size their compiled G, a product through the explicit
         # half-step of 2-norm up to 1e5, is itself off by up to 3e-12
-        assume(N % chunk_steps(M - 1))
         spec = manufactured_spec(side, alpha, M, N)
         if plain:
             spec = plain_source(spec)
         with block_steps(1):
             ref = SOLVERS[side](spec, store_history=True).history
-        with block_steps(64), mock.patch.object(solver1d, "_march_blocks",
-                                                wraps=solver1d._march_blocks) as blocks:
+        with block_steps(8), mock.patch.object(solver1d, "_fill_groups",
+                                               wraps=solver1d._fill_groups) as fill:
             got = SOLVERS[side](spec, store_history=True).history
-        assert blocks.call_count == 1
-        assert blocks.call_args.args[5] == 1
+        shapes = [c.args[0].shape[:2] for c in fill.call_args_list]
+        assert shapes[:2] == [(8, 8)] * 2
+        assert sum(J * q for J, q in shapes) == N  # one row a step
         scale = np.max(np.abs(ref), axis=1)
         assert np.all(np.max(np.abs(got - ref), axis=1) <= 1e-12 * scale)
 
@@ -591,13 +608,14 @@ class TestChunkMarching:
         spec = ProblemSpec1D(**{**spec.__dict__, "source": spike})
         with block_steps(1):
             ref = solve_left(spec, store_history=True).history
-        with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
+        with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks, \
+                mock.patch.object(solver1d, "_fill_groups", wraps=solver1d._fill_groups) as fill:
             got = solve_left(spec, store_history=True).history
         assert blocks.call_count == 1
         peak = np.max(np.abs(ref), axis=1)
         assert solver1d._BLOCK_LIMIT < peak.max() < solver1d._BLOWUP_LIMIT
         assert peak[-1] < solver1d._BLOCK_LIMIT  # the last chunks are accepted
-        assert len(ref) > 2 * chunk_steps(9)
+        assert fill.call_count > 2  # the run spans more than two chunks
         assert np.all(np.max(np.abs(got - ref), axis=1) <= 1e-12 * peak)
 
     @pytest.mark.parametrize("variant", ["history", "plain history"])
@@ -671,9 +689,9 @@ class CountingMatrix(np.ndarray):
 
 
 def group_steps(N):
-    """Steps of a group in a history run of N one-step blocks at a price of
-    64-step blocks: the largest power of two whose square is at most N."""
-    return solver1d._group_steps(N, 64)
+    """The block length of a long run of N steps on a narrow state: the
+    largest power of two up to 64 whose square is at most N."""
+    return min(64, 1 << (math.isqrt(N).bit_length() - 1))
 
 
 class TestGroupedFill:
@@ -692,12 +710,12 @@ class TestGroupedFill:
     )
     @example(side="left", plain=True, store_history=True, alpha=1.5, M=200, N=2999)
     def test_fill_equals_stepwise_history(self, side, plain, store_history, alpha, M, N):
-        # groups of q steps, q^2 <= N < 4 q^2: with N >= 2 q^2 a history
-        # spans two or three chunks of q^2 steps (q groups each), and the
-        # N mod q steps left over go one at a time.  A separable source
-        # without a history marches in blocks of K > 1, and two-sided runs
-        # are left out as in TestChunkMarching: their compiled G is itself
-        # off stepwise by up to 3e-12
+        # groups of q steps, q^2 <= N < 4 q^2: with N >= 2 q^2 a run spans
+        # at least two chunks of at most q groups, and the N mod q steps
+        # left over go as one more group.  A separable source without a
+        # history marches in blocks of K > 1, and two-sided runs are left
+        # out as in TestChunkMarching: their compiled G is itself off
+        # stepwise by up to 3e-12
         q = group_steps(N)
         assume(N >= 2 * q * q and N % q and (plain or store_history))
         spec = manufactured_spec(side, alpha, M, N)
@@ -705,13 +723,12 @@ class TestGroupedFill:
             spec = plain_source(spec)
         with block_steps(1):
             ref = SOLVERS[side](spec, store_history=store_history)
-        with block_steps(64), mock.patch.object(solver1d, "_fill_groups",
-                                                wraps=solver1d._fill_groups) as fill:
+        with block_steps(q), mock.patch.object(solver1d, "_fill_groups",
+                                               wraps=solver1d._fill_groups) as fill:
             got = SOLVERS[side](spec, store_history=store_history)
         lengths = [c.args[0].shape[1] for c in fill.call_args_list]
         assert len(lengths) >= 3
-        # a scratch buffer holds at most _BLOCK_FLOATS floats: shorter groups
-        assert set(lengths) == {q, 1} if store_history else max(lengths) > 1
+        assert set(lengths) == {q, N % q}
         if store_history:
             scale = np.max(np.abs(ref.history), axis=1)
             assert np.all(np.max(np.abs(got.history - ref.history), axis=1) <= 1e-12 * scale)
@@ -737,18 +754,19 @@ class TestGroupedFill:
         spec = case_ex5_1(1.5, 1.0, j=5, T=T).build_spec(1.0 / 200)(2000)
         tau = spec.time.tau
         spike = lambda x, t: np.full_like(x, size if abs(t - 45 * tau) < 0.5 * tau else 0.0)
-        assert group_steps(2000) == 32
+        assert solver1d._block_steps(199, 2000, 1, 2) == 32
         return ProblemSpec1D(**{**spec.__dict__, "source": spike})
 
     def test_spike_inside_a_group_blows_up_at_its_step(self):
-        with block_steps(64), pytest.raises(BlowupError) as err:
+        with pytest.raises(BlowupError) as err:
             solve_left(self.spiked(1e40, 1.0), store_history=True)
         assert err.value.step == 45
 
     def test_replayed_group_chunk_keeps_every_row(self):
         # tau 0.005: the spike's row reaches 1.5e24, past _BLOCK_LIMIT and
-        # short of _BLOWUP_LIMIT, so only the first chunk (steps 1 to 1024)
-        # is replayed, and the chunks after it resume from its state
+        # short of _BLOWUP_LIMIT, so only the first chunk (steps 1 to 1024,
+        # 32 groups of 32) is replayed, and the chunks after it resume from
+        # its state
         spec = self.spiked(3e26, 10.0)
         with block_steps(1):
             ref = solve_left(spec, store_history=True).history
@@ -761,7 +779,7 @@ class TestGroupedFill:
                 return stepwise(U, start, stop)
             return march(step, U, samples, per_stage, factors, K, replay, *rest)
 
-        with block_steps(64), mock.patch.object(solver1d, "_march_blocks", spy):
+        with mock.patch.object(solver1d, "_march_blocks", spy):
             got = solve_left(spec, store_history=True).history
         assert replays == [(0, 1024)]
         peak = np.max(np.abs(ref), axis=1)
@@ -785,23 +803,32 @@ class TestGroupedFill:
         assert np.all(np.max(np.abs(got - ref), axis=1) <= 1e-12 * scale)
 
     def test_fill_runs_on_one_blas_thread(self):
-        # the fill's products and the squarings that form G^q run with
-        # every OpenBLAS pool capped at one thread, restored afterwards
+        # a solve builds its stages (the LU factor of the 199-unknown stage
+        # matrix), forms G and its powers and marches with every OpenBLAS
+        # pool capped at one thread, restored afterwards: a history run in
+        # groups of 32 one-step blocks and a separable run in blocks of 32
+        # steps, whose forcing stack is formed inside the cap as well
         seen = []
 
         def spy(fn):
             def counted(*args, **kwargs):
-                seen.append([get() for get, _ in _blas._pools()])
+                seen.append((fn.__name__, [get() for get, _ in _blas._pools()]))
                 return fn(*args, **kwargs)
             return counted
 
         spec = case_ex5_1(1.5, 1.0, j=5).build_spec(1.0 / 200)(2000)
+        assert solver1d._block_steps(199, 2000, 1, 3) == 32
         before = [get() for get, _ in _blas._pools()]
-        with mock.patch.object(solver1d, "_fill_groups", spy(solver1d._fill_groups)), \
-                mock.patch.object(solver1d, "_block_power", spy(solver1d._block_power)):
+        with mock.patch.object(solver1d, "lu_factor", spy(solver1d.lu_factor)), \
+                mock.patch.object(solver1d, "_fill_groups", spy(solver1d._fill_groups)), \
+                mock.patch.object(solver1d, "_block_power", spy(solver1d._block_power)), \
+                mock.patch.object(solver1d, "_forcing_stack", spy(solver1d._forcing_stack)):
             solve_left(spec, store_history=True)
-        assert len(seen) >= 4
-        assert seen == [[1] * len(before)] * len(seen)
+            solve_left(spec)
+        names = [name for name, _ in seen]
+        assert names.count("lu_factor") == 2 and names.count("_forcing_stack") == 2
+        assert names.count("_fill_groups") >= 4
+        assert [counts for _, counts in seen] == [[1] * len(before)] * len(seen)
         assert [get() for get, _ in _blas._pools()] == before
 
     def test_history_run_takes_one_product_with_G_per_group(self):
@@ -811,23 +838,47 @@ class TestGroupedFill:
         spec = case_ex5_1(1.5, 1.0, j=5).build_spec(1.0 / 200)(2000)
         march = solver1d._march_blocks
 
-        def counting(step, U, samples, per_stage, factors, *rest):
-            def counted():
-                L, R = factors()
-                return L.view(CountingMatrix), R
-            return march(step, U, samples, per_stage, counted, *rest)
+        def counting(K=None):
+            # the run's own groups, or groups of K
+            def march_counting(step, U, samples, per_stage, factors, K_run, *rest):
+                def counted():
+                    L, R = factors()
+                    return L.view(CountingMatrix), R
+                return march(step, U, samples, per_stage, counted, K or K_run, *rest)
+            return march_counting
 
         MATVECS.clear()
-        with mock.patch.object(solver1d, "_march_blocks", counting):
+        with mock.patch.object(solver1d, "_march_blocks", counting()):
             got = solve_left(spec, store_history=True).history
-        assert solver1d._group_steps(2000, solver1d._block_steps(199, 2000, 1, 2)) == 32
+        assert solver1d._block_steps(199, 2000, 1, 2) == 32
         assert 2000 / 32 <= len(MATVECS) <= 2000 / 16
         MATVECS.clear()
-        with mock.patch.object(solver1d, "_march_blocks", counting), \
-                mock.patch.object(solver1d, "_group_steps", lambda n, Q: 1):
+        with mock.patch.object(solver1d, "_march_blocks", counting(1)):
             want = solve_left(spec, store_history=True).history
         assert len(MATVECS) == 2000
         assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * np.max(np.abs(want), axis=1))
+
+    def test_plain_source_run_holds_at_most_BLOCK_FLOATS_beyond_its_matrices(self):
+        # without a history, a chunk's scratch rows and the source's fields
+        # (as returned and stacked) take at most _BLOCK_FLOATS floats
+        # together.  Besides that the run holds the stage's LU factor, G,
+        # its five squarings up to G^32 and the forcing map, and forming
+        # the map holds three more m x (m + 2) arrays for a moment.  The
+        # allowance: eight floats a step for the samples and bounds of the
+        # run and its groups, and the forcing stack, here the two trace
+        # terms' D alone (2 m floats).
+        m, N = 199, 4000
+        spec = plain_source(case_ex5_1(1.5, 1.0, j=5).build_spec(1.0 / 200)(N))
+        assert solver1d._block_steps(m, N, 1, 2) == 32
+        solve_left(spec)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            solve_left(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrices = (1 + 1 + 5) * m * m + 4 * m * (m + 2)
+        assert peak <= 8 * (matrices + solver1d._BLOCK_FLOATS + 8 * N + 2 * m)
 
 
 def field_spec(side, initial, source):
