@@ -26,9 +26,12 @@ and at most 0.9 ms capped.
 :func:`single_thread` caps every OpenBLAS loaded in the process at one
 thread and restores the previous counts on exit.  The counts are process
 wide: BLAS calls made meanwhile from other Python threads run on one thread
-too, which changes their speed, never their results.  The libraries are
-found through ``/proc/self/maps``; where that cannot be read, or no OpenBLAS
-is loaded, nothing is capped.
+too, which changes their speed, never their results.  So the caps of all
+threads are one: the first entry saves the counts, and the last exit, in
+whichever thread, restores them, so caps that nest or overlap across
+threads leave the counts as they found them.  The libraries are found
+through ``/proc/self/maps``; where that cannot be read, or no OpenBLAS is
+loaded, nothing is capped.
 """
 
 from __future__ import annotations
@@ -36,10 +39,16 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import threading
 
 # (prefix, suffix) of the thread-count functions: plain OpenBLAS, SciPy's
 # LP64 wheel build, NumPy's ILP64 wheel build
 _SYMBOLS = (("", ""), ("scipy_", ""), ("scipy_", "64_"), ("", "64_"))
+# the counts are process wide, and so is the cap: the number of entries open
+# in any thread, and the (set, count) of each pool saved at the first of them
+_lock = threading.Lock()
+_depth = 0
+_saved = ()
 
 
 @functools.cache
@@ -72,12 +81,18 @@ def _pools():
 def single_thread():
     """Run the body, or each call of a function it decorates, with every
     loaded OpenBLAS on one thread."""
-    pools = _pools()
-    saved = [get() for get, _ in pools]
-    for _, set_ in pools:
-        set_(1)
+    global _depth, _saved
+    with _lock:
+        if not _depth:
+            _saved = tuple((set_, get()) for get, set_ in _pools())
+            for set_, _ in _saved:
+                set_(1)
+        _depth += 1
     try:
         yield
     finally:
-        for (_, set_), count in zip(pools, saved):
-            set_(count)
+        with _lock:
+            _depth -= 1
+            if not _depth:
+                for set_, count in _saved:
+                    set_(count)

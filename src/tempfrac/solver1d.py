@@ -54,17 +54,18 @@ One marcher then takes one of two paths:
   K temporal samples of each term.  A vector state is the case r = 1,
   R = [[1]], L = G.  A 1D run with a stored history or a plain-callable
   source marches in blocks of one step, U <- G U + d_n: the source is
-  still called once per step, and the fields of a part of a chunk of steps
-  reach their d_n through one product with the forcing map
+  still called once per step, and the fields of a group of steps reach
+  their d_n through one product with the forcing map
   step(0, stencil(I)), formed like G, and only once some field is not all
   zero.  The d_n are written straight into the rows of the history, which
   are then filled in place in groups of K steps: the group ends one after
   another through G^K, and everything else in products of all the groups
   at once with G^T, so that the chain of dependent products is N / K long
   instead of N.  Blocks and groups take one length K, the largest power of
-  two up to 64 with K^2 <= N whose forcing stack fits 1 MiB (see
-  _block_steps), and one loop serves both: the units go in chunks, each
-  chunk's forcing a few products, its states checked once.
+  two up to 64 with K^2 <= N whose forcing stack, K m r floats a term,
+  holds no more than the squarings L^(2^i), R^(2^i) the march keeps anyway
+  (see _block_steps), and one loop serves both: the units go in chunks, K
+  a chunk, each chunk's forcing a few products, its states checked once.
 
 The block and group paths agree with the stepwise one to round-off: to
 1e-12 relative to the run's peak, and to 1e-12 per stored row for runs of
@@ -118,10 +119,6 @@ _BLOWUP_LIMIT = 1e30
 _BLOCK_LIMIT = 1e-6 * _BLOWUP_LIMIT
 # a block is at most this many steps (see _block_steps)
 _BLOCK = 64
-# what the march holds besides L, R, their squarings and the history: the
-# forcing stack of a block takes at most this many floats (1 MiB), and so do
-# a chunk's scratch rows and a general term's stacked fields together
-_BLOCK_FLOATS = 2**17
 # stage matrices of at least this dimension are solved and applied through
 # their Toeplitz structure where lam*h <= 1 (see _toeplitz_map)
 _TOEPLITZ_DIM = 600
@@ -281,9 +278,9 @@ def _source_term(source, space, shift, stencil):
                  stencil=stencil)
 
 
-def _block_steps(m, N, r=1, terms=1):
-    """The block length K of a run of N steps on an (m, r) state with
-    ``terms`` scalar forcing terms; 1 selects the stepwise path.
+def _block_steps(m, N, r=1):
+    """The block length K of a run of N steps on an (m, r) state; 1 selects
+    the stepwise path.
 
     Forming the factors L, R and their powers costs about 32 (m^3 + r^3)
     flops.  Each compiled step saves the per-step overhead (some 40 us) and
@@ -295,16 +292,20 @@ def _block_steps(m, N, r=1, terms=1):
     breaks even with the stepwise one between 8 and 32 steps there.
 
     Where it pays, K is the largest power of two up to _BLOCK with
-    K^2 <= N whose forcing stack, K terms m r floats, fits in
-    _BLOCK_FLOATS: setting up a block costs about K products (the stack,
-    or the two inner passes of a group of K one-step blocks, see
-    _march_blocks) against the N / K dependent ones of the march.
+    K^2 <= N and K m r <= K.bit_length() (m^2 + r^2).  Setting up a block
+    costs about K products (the stack, or the two inner passes of a group
+    of K one-step blocks, see _march_blocks) against the N / K dependent
+    ones of the march; and each forcing term's stack, K rows of m r floats,
+    holds no more floats than the powers L^(2^i) and R^(2^i) that the march
+    keeps for the chain anyway, one pair for each bit of K.  A square 2D
+    run thus takes K = 8 at every size; a 1D run, K m <= K.bit_length()
+    (m^2 + 1), is bounded by that only below m = 10.
     """
     saved = m * m if r == 1 else m * r * (m + r)
     if N * (4e4 + saved) < 16.0 * (m**3 + r**3):
         return 1
     K = _BLOCK
-    while K > 1 and (K * K > N or K * terms * m * r > _BLOCK_FLOATS):
+    while K > 1 and (K * K > N or K * m * r > K.bit_length() * (m * m + r * r)):
         K //= 2
     return K
 
@@ -360,7 +361,7 @@ def _march(step, stages, U, time, terms, history=None, factors=None, toeplitz_st
         return U
 
     m, r = U.reshape(len(U), -1).shape
-    K = 1 if toeplitz_stages else _block_steps(m, N, r, len(scalar))
+    K = 1 if toeplitz_stages else _block_steps(m, N, r)
     if K == 1 or (general and U.ndim > 1):
         return stepwise(U, 0, N)
     if factors is None:
@@ -450,15 +451,15 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
     one row of the product of the block's samples, last step first, with
     the head of the forcing stack (see _forcing_stack).
 
-    The units go a chunk at a time, at most K of them (K^2 <= N steps).  A
-    chunk's rows are rows of ``history`` or of one scratch buffer, and the
-    scratch rows and a general term's fields stay within _BLOCK_FLOATS
-    floats: without a history a chunk holds only as many units as fit with
-    their fields, and at least one.  The rows receive the chunk's forcing
-    in one product, none where its samples are all zero, and a general
-    term's in parts of as many steps as fit what the rows leave; then
-    _fill_groups fills them with the states, the unit ends following one
-    another through L^k and R^k.
+    The units go a chunk at a time, K of them (fewer only where fewer are
+    left).  A chunk's rows are rows of ``history`` or of one scratch buffer,
+    which the bound of _block_steps keeps small: a chunk of blocks holds K
+    rows of m r floats, no more than the powers of L and R, and a chunk of
+    groups K^2 <= N rows of m floats, no more than a history would.  The
+    rows receive the chunk's forcing in one product, none where its samples
+    are all zero, and a general term's one group at a time, its fields
+    stacked for that group's steps alone; then _fill_groups fills them with
+    the states, the unit ends following one another through L^k and R^k.
 
     With gamma, the product of the infinity norms of the powers of L and R,
     bounding the growth of any j <= K steps, a chunk is accepted only when
@@ -496,7 +497,7 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
         for _ in range(K.bit_length() - 1):
             Lp, Rp = powers[-1]
             powers.append((Lp @ Lp, Rp @ Rp))
-        norms = [np.abs(P).sum(axis=1).max() for pair in powers for P in pair[:1 if r == 1 else 2]]
+        norms = [np.abs(P).sum(axis=1).max() for pair in powers for P in pair]
     # Python floats overflow to inf silently; np.maximum keeps a NaN
     gamma = math.prod(np.maximum(1.0, norms).tolist())
     # sup-norm bound of each step's forcing, summed per unit below
@@ -504,8 +505,6 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
 
     # the forcing stack of a block of k steps is the head of the longest one
     W = _forcing_stack(powers, D, 1 if grouped else K)
-    # a step's fields take 2 (m + 2) floats, as returned and stacked
-    fields = 2 * (m + 2) if general else 0
     n = 0
     u_norm = abs(U).max()
     for length in (K, N % K):
@@ -513,19 +512,15 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
         if not units:
             continue
         k, q = (1, length) if grouped else (length, 1)
-        span, left, scratch = min(units, K), _BLOCK_FLOATS, None
-        if history is None:  # scratch rows for the units, with their fields
-            span = min(span, max(1, _BLOCK_FLOATS // (q * (m * r + fields))))
-            scratch = np.empty((span * q, m * r))
-            left -= scratch.size
-        part = max(1, left // max(1, fields))
+        if history is None:  # the rows of a chunk of K units
+            scratch = np.empty((min(units, K) * q, m * r))
         Wk = W[:k * T]
         Lk, Rk = _block_power(powers, length)
         bounds = forcing_bound[n:n + units * length].reshape(units, length).sum(axis=1)
         # one row of samples a row of the chunk, a block's last step first
         g = samples[n:n + units * length].reshape(units * q, k, T)[:, ::-1].reshape(units * q, k * T)
-        for first in range(0, units, span):
-            last = min(first + span, units)
+        for first in range(0, units, K):
+            last = min(first + K, units)
             start, stop = n + first * length, n + last * length
             rows = scratch[:(last - first) * q] if history is None else history[start + 1:stop + 1]
             forced = g[first * q:last * q].any()
@@ -534,8 +529,8 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
             else:
                 rows[...] = 0.0
             if general is not None:
-                for a in range(start, stop, part):
-                    forced |= general(a, min(a + part, stop), rows[a - start:a - start + part])
+                for a in range(start, stop, q):
+                    forced |= general(a, a + q, rows[a - start:a - start + q])
             groups = rows.reshape(-1, q, m * r)
             with np.errstate(over="ignore", invalid="ignore"):
                 pushed = bounds[first:last]  # the forcing bound of each unit
@@ -611,7 +606,9 @@ def _forcing_stack(powers, D, k):
 
     Row i T + t holds L^i D_t (R^i)^T, an (m, r) matrix, transposed and
     flattened: entry (a, b) at column b m + a.  The head of i < k' rows
-    serves a block of k' steps, its samples taken last step first.
+    serves a block of k' steps, its samples taken last step first.  For
+    k = K each term's k rows hold no more floats than the squarings
+    ``powers`` (the bound of _block_steps).
     """
     m, T, r = D.shape
     X = np.empty((k * T, r, m))

@@ -30,9 +30,9 @@ source, none for a :class:`~tempfrac.solver1d.SeparableSource`, whose
 profile is mapped once.
 The marcher of :mod:`tempfrac.solver1d` takes the step in blocks of steps,
 U <- L^K U (R^K)^T + sum_j g_j L^j D (R^j)^T with D = Fx (profile) Fy^T.
-A run with a plain-callable source, a run too short or too wide for blocks
-to pay, and any chunk of blocks whose growth bound comes near the blowup
-limit take it one step at a time.  The stages are built and the march runs
+A run with a plain-callable source, a run too short for blocks to pay, and
+any chunk of blocks whose growth bound comes near the blowup limit take it
+one step at a time.  The stages are built and the march runs
 on one BLAS thread (see :mod:`tempfrac._blas`).
 """
 

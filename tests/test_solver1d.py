@@ -260,7 +260,7 @@ class TestTemporalOrder:
 @contextlib.contextmanager
 def block_steps(K):
     """March in blocks of K steps (1: stepwise) whatever the size of the run."""
-    with mock.patch.object(solver1d, "_block_steps", lambda m, N, r=1, terms=1: K):
+    with mock.patch.object(solver1d, "_block_steps", lambda m, N, r=1: K):
         yield
 
 
@@ -381,22 +381,26 @@ class TestBlockMarching:
             solver1d._march(step, 1, U0, TimeGrid(1.0, 2), terms, factors=factors)
         assert err.value.step == 1
 
-    @pytest.mark.parametrize("m,N,r,T,K", [
-        (199, 2000, 1, 2, 32),  # a history run at M = 200: K^2 <= N
-        (9, 100, 1, 3, 8),  # study1d's first level at tau = h^3
-        (39, 6400, 1, 3, 64),  # at most _BLOCK
-        (599, 30000, 1, 4, 32),  # the stack: 64 x 4 x 599 floats would not fit
-        (159, 100, 159, 1, 4),  # 2D at M = 160: the stack, 8 x 159^2 floats, would not fit
-        (119, 100, 119, 1, 8),
-        (79, 716, 79, 1, 16),
+    @pytest.mark.parametrize("m,N,r,K", [
+        (199, 2000, 1, 32),  # a history run at M = 200: K^2 <= N
+        (9, 100, 1, 8),  # study1d's first level at tau = h^3
+        (39, 6400, 1, 64),  # at most _BLOCK
+        (9, 6400, 1, 32),  # 64 x 9 floats a term would outgrow G's 7 squarings
+        (599, 30000, 1, 64),
+        (159, 100, 159, 8),  # 2D at M = 160: K^2 <= N
+        (119, 100, 119, 8),
+        (79, 716, 79, 8),  # 2D at M = 80: 16 x 79^2 floats would outgrow 5 pairs of squarings
+        (319, 5724, 319, 8),  # 2D at M = 320, tau = h^1.5: every square run takes 8
+        (39, 6400, 159, 16),  # a rectangle: 16 x 39 x 159 <= 5 (39^2 + 159^2)
     ])
-    def test_block_length_is_the_largest_power_of_two_that_fits(self, m, N, r, T, K):
+    def test_block_length_is_the_largest_power_of_two_that_fits(self, m, N, r, K):
         # wherever compiling pays, one rule: the largest power of two up to
-        # _BLOCK = 64 with K^2 <= N whose forcing stack, K T m r floats, fits
-        # _BLOCK_FLOATS
+        # _BLOCK = 64 with K^2 <= N whose forcing stack, K m r floats a term,
+        # holds no more floats than the squarings L^(2^i), R^(2^i) for the
+        # bits of K
         fits = [k for k in (1, 2, 4, 8, 16, 32, 64)
-                if k * k <= N and k * T * m * r <= solver1d._BLOCK_FLOATS]
-        assert solver1d._block_steps(m, N, r, T) == max(fits) == K
+                if k * k <= N and k * m * r <= k.bit_length() * (m * m + r * r)]
+        assert solver1d._block_steps(m, N, r) == max(fits) == K
 
     def test_block_path_only_where_dense_G_pays(self):
         # long runs on study grids march in blocks; wide grids with few
@@ -415,7 +419,7 @@ class TestBlockMarching:
         case = case_ex5_1(1.5, 1.0, j=5)
         spec = case.build_spec(0.1)(200)
         plain = plain_source(spec)
-        K = solver1d._block_steps(9, 200, 1, 3)
+        K = solver1d._block_steps(9, 200, 1)
         assert K == 8
         for run, rows, steps in ((lambda: solve_left(spec, store_history=True), 200, K),
                                  (lambda: solve_left(plain), 200, K),
@@ -754,7 +758,7 @@ class TestGroupedFill:
         spec = case_ex5_1(1.5, 1.0, j=5, T=T).build_spec(1.0 / 200)(2000)
         tau = spec.time.tau
         spike = lambda x, t: np.full_like(x, size if abs(t - 45 * tau) < 0.5 * tau else 0.0)
-        assert solver1d._block_steps(199, 2000, 1, 2) == 32
+        assert solver1d._block_steps(199, 2000, 1) == 32
         return ProblemSpec1D(**{**spec.__dict__, "source": spike})
 
     def test_spike_inside_a_group_blows_up_at_its_step(self):
@@ -817,7 +821,7 @@ class TestGroupedFill:
             return counted
 
         spec = case_ex5_1(1.5, 1.0, j=5).build_spec(1.0 / 200)(2000)
-        assert solver1d._block_steps(199, 2000, 1, 3) == 32
+        assert solver1d._block_steps(199, 2000, 1) == 32
         before = [get() for get, _ in _blas._pools()]
         with mock.patch.object(solver1d, "lu_factor", spy(solver1d.lu_factor)), \
                 mock.patch.object(solver1d, "_fill_groups", spy(solver1d._fill_groups)), \
@@ -850,7 +854,7 @@ class TestGroupedFill:
         MATVECS.clear()
         with mock.patch.object(solver1d, "_march_blocks", counting()):
             got = solve_left(spec, store_history=True).history
-        assert solver1d._block_steps(199, 2000, 1, 2) == 32
+        assert solver1d._block_steps(199, 2000, 1) == 32
         assert 2000 / 32 <= len(MATVECS) <= 2000 / 16
         MATVECS.clear()
         with mock.patch.object(solver1d, "_march_blocks", counting(1)):
@@ -858,18 +862,19 @@ class TestGroupedFill:
         assert len(MATVECS) == 2000
         assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * np.max(np.abs(want), axis=1))
 
-    def test_plain_source_run_holds_at_most_BLOCK_FLOATS_beyond_its_matrices(self):
-        # without a history, a chunk's scratch rows and the source's fields
-        # (as returned and stacked) take at most _BLOCK_FLOATS floats
-        # together.  Besides that the run holds the stage's LU factor, G,
-        # its five squarings up to G^32 and the forcing map, and forming
-        # the map holds three more m x (m + 2) arrays for a moment.  The
-        # allowance: eight floats a step for the samples and bounds of the
-        # run and its groups, and the forcing stack, here the two trace
-        # terms' D alone (2 m floats).
+    def test_plain_source_run_holds_one_chunk_beyond_its_matrices(self):
+        # without a history, a chunk's scratch rows take K groups of K rows,
+        # K^2 m floats, and the source's fields are stacked one group at a
+        # time, 2 K (m + 2) floats as returned and stacked.  Besides that the
+        # run holds the stage's LU factor, G, its five squarings up to G^32
+        # and the forcing map, and forming the map holds three more
+        # m x (m + 2) arrays for a moment.  The allowance: eight floats a
+        # step for the samples and bounds of the run and its groups, and the
+        # forcing stack, here the two trace terms' D alone (2 m floats).
         m, N = 199, 4000
         spec = plain_source(case_ex5_1(1.5, 1.0, j=5).build_spec(1.0 / 200)(N))
-        assert solver1d._block_steps(m, N, 1, 2) == 32
+        K = solver1d._block_steps(m, N, 1)
+        assert K == 32
         solve_left(spec)  # imports and caches outside the measurement
         tracemalloc.start()
         try:
@@ -878,7 +883,7 @@ class TestGroupedFill:
         finally:
             tracemalloc.stop()
         matrices = (1 + 1 + 5) * m * m + 4 * m * (m + 2)
-        assert peak <= 8 * (matrices + solver1d._BLOCK_FLOATS + 8 * N + 2 * m)
+        assert peak <= 8 * (matrices + K * K * m + 2 * K * (m + 2) + 8 * N + 2 * m)
 
 
 def field_spec(side, initial, source):

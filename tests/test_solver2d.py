@@ -130,7 +130,7 @@ def block_steps(K):
     if K is None:
         yield
         return
-    with mock.patch.object(solver1d, "_block_steps", lambda m, N, r=1, terms=1: K):
+    with mock.patch.object(solver1d, "_block_steps", lambda m, N, r=1: K):
         yield
 
 
@@ -186,10 +186,23 @@ class TestBlockMarching:
         # block size applies
         N = math.ceil(M**1.5)
         spec = case_ex5_3(alpha, beta, 0.1, 0.1).build_spec(1.0 / M)(N)
-        assert solver1d._block_steps(M - 1, N, M - 1, 1) > 1
+        assert solver1d._block_steps(M - 1, N, M - 1) > 1
         with block_steps(1):
             ref = solve_adi(spec).values
         got = solve_adi(spec).values
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_wide_square_run_marches_in_blocks_of_8(self):
+        # 259 unknowns a direction: the forcing stack of 8 steps, 8 x 259^2
+        # floats, holds no more than the 4 pairs of squarings, so a square
+        # run this wide still takes blocks
+        spec = case_ex5_3(1.5, 1.5, 1.0, 1.0).build_spec(1.0 / 260)(64)
+        assert solver1d._block_steps(259, 64, 259) == 8
+        with block_steps(1):
+            ref = solve_adi(spec).values
+        with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
+            got = solve_adi(spec).values
+        assert blocks.call_args.args[5] == 8
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("K", [3, None])
@@ -223,7 +236,7 @@ class TestBlockMarching:
     def test_unstable_rate_blows_up_at_the_same_step(self, K):
         # lam*h = 5 along both axes; step 34 is the stepwise sweeps' verdict
         spec = case_ex5_3(1.9, 1.9, 50.0, 50.0).build_spec(0.1)(1000)
-        assert solver1d._block_steps(9, 1000, 9, 1) > 1
+        assert solver1d._block_steps(9, 1000, 9) > 1
         with block_steps(K), pytest.warns(RuntimeWarning, match="lam\\*h"):
             with pytest.raises(BlowupError) as err:
                 solve_adi(spec)
