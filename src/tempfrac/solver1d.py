@@ -16,10 +16,10 @@ the 2D ADI step of :mod:`tempfrac.solver2d`, U <- L U R^T + f_n on a matrix
 U, whose G is R (x) L.  A run assembles and factors its matrices once and
 compiles its forcing once, into terms that are each a fixed vector times a
 scalar function of time (the far boundary trace always is, and so is a
-:class:`SeparableSource`) or, for a plain source callable, one source
-evaluation per step.  Each scalar function is sampled once for all the time
-levels of the run: one call with the array of those times where it accepts
-one (``np.exp`` does), else one call per level (``math.exp``).
+:class:`SeparableSource`) or, for a plain source callable, a nodal field
+a step.  Each scalar function is sampled once for all the time levels of the
+run: one call with the array of those times where it accepts one
+(``np.exp`` does), else one call per level (``math.exp``).
 
 A step is a sequence of theta-stages, each a (solve, apply) pair for
 (B - theta tau P) U' = (B + (1 - theta) tau P) U + f, all built by one
@@ -53,8 +53,9 @@ One marcher then takes one of two paths:
   the powers and the terms L^j D (R^j)^T of W precomputed and g holding the
   K temporal samples of each term.  A vector state is the case r = 1,
   R = [[1]], L = G.  A 1D run with a stored history or a plain-callable
-  source marches in blocks of one step, U <- G U + d_n: the source is
-  still called once per step, and the fields of a group of steps reach
+  source marches in blocks of one step, U <- G U + d_n: a plain source is
+  called once per group with an array of times where it broadcasts, else
+  once per step, and the fields of a group of steps reach
   their d_n through one product with the forcing map
   step(0, stencil(I)), formed like G, and only once some field is not all
   zero.  The d_n are written straight into the rows of the history, which
@@ -170,12 +171,15 @@ class ProblemSpec1D:
     ``initial`` maps x to u(x, 0); ``boundary_left`` / ``boundary_right`` map
     t to the traces at x = a and x = b; ``source`` maps (x, t) to f and must
     accept a vector of nodes.  A :class:`SeparableSource` lets long runs march
-    in blocks of steps; a plain callable is evaluated once per step, and a
-    long run with it, or with a stored history, still steps on the compiled
-    G, in groups of steps whose states are filled by products of all the
-    groups at once, the states checked once per chunk of steps, and forcing
-    that is exactly zero free (about 7 us a step at 199 unknowns on 2
-    cores, 2-3 us of it in the source).  A
+    in blocks of steps; a long run with a plain callable, or with a stored
+    history, still steps on the compiled G, in groups of steps whose states
+    are filled by products of all the groups at once, the states checked
+    once per chunk of steps, and forcing that is exactly zero free.  There
+    a plain source is called once per group with an array of times where it
+    broadcasts, else once per step: called with ``t`` a column of times, it
+    broadcasts where it returns one row of nodal values a time, or values
+    that broadcast to those rows (``np.exp(-t) * np.sin(x)`` does; one that
+    calls ``math.exp(-t)`` or branches on t takes the calls per step).  A
     trace that also accepts an array of times is called once per run for
     all the time levels, otherwise once per level.  ``side`` selects the
     scheme.  ``initial``, a plain ``source`` and a separable source's
@@ -247,13 +251,15 @@ class _Term:
 
     With ``vectors`` (one per stage of the step) ``fn(t)`` is their scalar
     factor; without, ``fn(t)`` is a nodal field and ``stencil`` maps it, or
-    nodal fields stacked column by column, to the per-stage vectors.
+    nodal fields stacked column by column, to the per-stage vectors, and
+    ``batch(times)`` takes many times at once (see _sample_run).
     """
 
     fn: Callable
     shift: float
     vectors: Optional[tuple] = None
     stencil: Optional[Callable] = None
+    batch: Optional[Callable] = None
 
 
 def _field(fn, name, shape, *args):
@@ -274,8 +280,10 @@ def _source_term(source, space, shift, stencil):
     if isinstance(source, SeparableSource):
         profile = _field(source.profile, "the source profile", shape, *space)
         return _Term(source.temporal, shift, stencil(profile))
+    # the times down a first axis, against the nodes
+    column = (-1,) + (1,) * len(shape)
     return _Term(functools.partial(_field, source, "the source", shape, *space), shift,
-                 stencil=stencil)
+                 stencil=stencil, batch=lambda times: source(*space, times.reshape(column)))
 
 
 def _block_steps(m, N, r=1):
@@ -375,11 +383,12 @@ def _march(step, stages, U, time, terms, history=None, factors=None, toeplitz_st
         return step(np.zeros((m, m + 2)), term.stencil(np.eye(m + 2))).T
 
     def general_forcing(start, stop, rows):
-        # one row a step: each term's nodal fields stacked as rows, one
-        # product with its map unless they are all zero; whether any was not
+        # one row a step: each term's nodal fields, sampled for the group at
+        # once, one product with its map unless they are all zero; whether
+        # any was not
         forced = False
         for term in general:
-            fields = np.array([term.fn((n + term.shift) * tau) for n in range(start, stop)])
+            fields = _sample_run(term.fn, start + term.shift, stop - start, tau, term.batch)
             if fields.any():
                 rows += fields @ forcing_map(term)
                 forced = True
@@ -411,28 +420,32 @@ def _sample(terms, N, tau):
     return samples
 
 
-def _sample_run(fn, first, count, tau):
-    """fn((j + first) * tau) for j = 0, ..., count - 1, as an array.
+def _sample_run(fn, first, count, tau, batch=None):
+    """fn((j + first) * tau) for j = 0, ..., count - 1, stacked along a new
+    first axis: scalar factors, or the nodal fields of a plain source.
 
-    From two times on (one time is one call either way), fn is called once
-    with the array of those times, the same floats a call per time would
-    receive.  The result is taken where it broadcasts to (count,), is
-    finite and agrees with scalar calls at the first and last time to 1e-12
-    relative; otherwise, or where the array call raises, fn is called once
-    per time, as a scalar-only callable (``math.exp``, or one that branches
-    on t) needs.
+    From two times on (one time is one call either way), one call takes the
+    array of those times, the same floats a call per time would receive:
+    fn itself, or ``batch``, which passes them to a plain source as a column
+    against its nodes.  The result is taken where it broadcasts to the
+    stacked shape, is finite and agrees, element by element, with fn at the
+    first and last time to 1e-12 relative; otherwise, or where the array
+    call raises, fn is called once per time, as a scalar-only callable
+    (``math.exp``, or one that branches on t) needs.
     """
     if count > 1:
         times = (np.arange(count) + first) * tau
         try:
-            values = np.broadcast_to(np.asarray(fn(times), dtype=float), (count,))
-            if np.isfinite(values).all() and all(
-                    math.isclose(values[j], fn((j + first) * tau), rel_tol=1e-12)
-                    for j in (0, count - 1)):
+            values = np.asarray((batch or fn)(times), dtype=float)
+            ends = np.array([fn((j + first) * tau) for j in (0, count - 1)], dtype=float)
+            values = np.ascontiguousarray(np.broadcast_to(values, (count,) + ends.shape[1:]))
+            got = values[[0, -1]]
+            if np.isfinite(values).all() and (
+                    np.abs(got - ends) <= 1e-12 * np.maximum(np.abs(got), np.abs(ends))).all():
                 return values
         except Exception:  # a genuine error is raised again by the calls per time
             pass
-    return np.fromiter((fn((j + first) * tau) for j in range(count)), float, count)
+    return np.array([fn((j + first) * tau) for j in range(count)], dtype=float)
 
 
 def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, general):
@@ -489,15 +502,17 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
 
     # L^(2^i) and R^(2^i) for every bit of K; since
     # ||L V R^T||_max <= ||L||_inf ||V||_max ||R||_inf, the product of their
-    # norms (at least 1 each; a vector state's R is [[1]]) bounds the growth
-    # of any j <= K steps.  An unstable step may overflow them: gamma is
-    # then inf or NaN, and every chunk is replayed.
+    # norms (at least 1 each) bounds the growth of any j <= K steps; a
+    # vector state's R is [[1]], every power of norm 1, so only L's count.
+    # An unstable step may overflow them: gamma is then inf or NaN, and
+    # every chunk is replayed.
     powers = [(L, R)]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(K.bit_length() - 1):
             Lp, Rp = powers[-1]
             powers.append((Lp @ Lp, Rp @ Rp))
-        norms = [np.abs(P).sum(axis=1).max() for pair in powers for P in pair]
+        norms = [np.abs(P).sum(axis=1).max()
+                 for pair in powers for P in (pair[:1] if vector else pair)]
     # Python floats overflow to inf silently; np.maximum keeps a NaN
     gamma = math.prod(np.maximum(1.0, norms).tolist())
     # sup-norm bound of each step's forcing, summed per unit below

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len, rfft
-from scipy.linalg import eigvalsh_tridiagonal, toeplitz
+from scipy.linalg import get_lapack_funcs, toeplitz
 
 from .calculus import w3_closed_form
 from .operators import Grid1D, P_column_row, assemble_B
@@ -64,6 +64,9 @@ __all__ = [
 ]
 
 _MAX_DIM = 400  # largest dense eigen-solve (the certificate's last rung)
+# LDL^T of a symmetric positive definite tridiagonal (d, e); its last
+# output, info, is positive where the matrix is not positive definite
+_pttrf, = get_lapack_funcs(("pttrf",))
 _ZERO_TOL = 1e-12
 # Symbol samples per unknown.  The bracket's slack shrinks like the squared
 # sample spacing; at 16 the symbol alone decides all 36 (alpha, lam*h) cases
@@ -83,8 +86,9 @@ class DefinitenessReport:
 
     ``rung`` names the computation that decided: ``"symbol"``,
     ``"gershgorin"`` or ``"dense"`` for sym(P) (see the module docstring),
-    ``"tridiagonal"`` for sym(B).  The ``"dense"`` and ``"tridiagonal"``
-    enclosures are the extreme eigenvalues themselves.
+    ``"tridiagonal"`` for sym(B).  The ``"dense"`` enclosure holds the
+    extreme eigenvalues themselves, the ``"tridiagonal"`` one their closed
+    form, certified to within 1e-10 by inertia (see check_B_bounds).
     """
 
     alpha: float
@@ -239,29 +243,37 @@ def check_B_bounds(lam, h, M):
     """Extreme eigenvalues of sym(B), which lie in (1/12, 2) for lam*h <= 1.
 
     The closed form  2/3 + (e^{-lam h} + e^{lam h})/6 * cos(j pi / M),
-    j = 1..M-1, puts them at j = M-1 and j = 1.  Both are cross-checked to
-    1e-10 against a tridiagonal eigen-solve of sym(B)'s two bands, which
-    computes only those two eigenvalues (a disagreement is an eigen-solver
-    fault and raises).  The containment itself is reported through the
-    extremes, which escape the bounds beyond the lam*h <= 1 threshold.
+    j = 1..M-1, puts them at lo (j = M-1) and hi (j = 1), and the report
+    carries those two.  Both are certified to within
+    delta = 1e-10 max(1, |lo|, |hi|) by the inertia of sym(B)'s two bands:
+    A - (lo - delta) I and (hi + delta) I - A must be positive definite and
+    A - (lo + delta) I and (hi - delta) I - A must not, four LDL^T
+    factorizations of a symmetric tridiagonal in O(M) each.  By Sylvester's
+    law of inertia that puts the least eigenvalue within delta of lo and the
+    greatest within delta of hi; any other outcome is a fault of the closed
+    form or of the factorization, and raises.  The containment itself is
+    reported through the extremes, which escape the bounds beyond the
+    lam*h <= 1 threshold.
     """
     B = assemble_B("left", Grid1D(0.0, M * h, M), lam)
     d, e = np.full(B.dim, B.diag), np.full(B.dim - 1, 0.5 * (B.sub + B.sup))
-    eigs = np.array([
-        eigvalsh_tridiagonal(d, e, select="i", select_range=(i, i))[0] for i in (0, B.dim - 1)
-    ])
     amplitude = (math.exp(-lam * h) + math.exp(lam * h)) / 6.0 * math.cos(math.pi / M)
-    closed = 2.0 / 3.0 + np.array([-amplitude, amplitude])
-    scale = np.max(np.abs(closed))
-    if np.max(np.abs(closed - eigs)) > 1e-10 * max(1.0, scale):
-        raise RuntimeError("closed-form spectrum of sym(B) disagrees with eigen-solve")
+    lo, hi = 2.0 / 3.0 - amplitude, 2.0 / 3.0 + amplitude
+    delta = 1e-10 * max(1.0, abs(lo), abs(hi))
+
+    # info of A - (lo - delta) I, A - (lo + delta) I, (hi + delta) I - A and
+    # (hi - delta) I - A: 0 where positive definite, positive where not
+    info = [_pttrf(sign * (d - shift), sign * e)[-1] for sign, shift in (
+        (1.0, lo - delta), (1.0, lo + delta), (-1.0, hi + delta), (-1.0, hi - delta))]
+    if not (info[0] == 0 < info[1] and info[2] == 0 < info[3]):
+        raise RuntimeError("closed-form spectrum of sym(B) disagrees with its inertia")
     return DefinitenessReport(
         alpha=float("nan"),
         lambda_h=lam * h,
         dim=M - 1,
-        eig_min=float(eigs[0]),
-        eig_max=float(eigs[-1]),
-        verdict=_classify(eigs[0], eigs[-1]),
+        eig_min=lo,
+        eig_max=hi,
+        verdict=_classify(lo, hi),
         rung="tridiagonal",
     )
 

@@ -484,7 +484,10 @@ class TestBlockMarching:
         assert err.value.step == 20
 
     @pytest.mark.parametrize("side", sorted(SOLVERS))
-    def test_plain_source_is_called_once_per_step(self, side):
+    def test_plain_source_is_sampled_once_per_group(self, side):
+        # a broadcasting source takes one array call a group of K steps, its
+        # times a column against the nodes, and two scalar calls that check
+        # the group's first and last time
         N = 150
         spec = manufactured_spec(side, 1.5, 10, N)
         calls = []
@@ -497,7 +500,13 @@ class TestBlockMarching:
         with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
             got = SOLVERS[side](counted_spec, store_history=True)
         assert blocks.call_count == 1
-        assert len(calls) == N
+        K = solver1d._block_steps(9, N)
+        shift = 0.5 if side == "two_sided" else 1.0
+        arrays = [t for t in calls if np.ndim(t)]
+        assert all(t.shape == (len(t), 1) for t in arrays)
+        assert np.array_equal(np.concatenate(arrays)[:, 0], (np.arange(N) + shift) * spec.time.tau)
+        assert [t for t in calls if not np.ndim(t)] == [t[j, 0] for t in arrays for j in (0, -1)]
+        assert len(calls) <= 3 * math.ceil(N / K) + 3
         with block_steps(1):
             want = SOLVERS[side](counted_spec, store_history=True)
         assert np.max(np.abs(got.history - want.history)) <= 1e-12 * np.max(np.abs(want.history))
@@ -884,6 +893,128 @@ class TestGroupedFill:
             tracemalloc.stop()
         matrices = (1 + 1 + 5) * m * m + 4 * m * (m + 2)
         assert peak <= 8 * (matrices + K * K * m + 2 * K * (m + 2) + 8 * N + 2 * m)
+
+
+def with_source(spec, source):
+    """``spec`` with ``source``, a callable that records each time it is called with."""
+    calls = []
+
+    def recorded(x, t):
+        calls.append(t)
+        return source(x, t)
+
+    return ProblemSpec1D(**{**spec.__dict__, "source": recorded}), calls
+
+
+class TestGroupSampling:
+    """A plain source on the grouped path: one call a group with the group's
+    times as a column against the nodes where it broadcasts, checked at the
+    group's first and last time, else one call a step."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        side=st.sampled_from(["left", "right"]),
+        kind=st.sampled_from(["sine", "where"]),
+        store_history=st.booleans(),
+        c=st.floats(-2.0, 2.0).filter(lambda c: abs(c) >= 1e-3),
+        k=st.integers(1, 6),
+        M=st.integers(150, 230),
+        N=st.integers(128, 3000),
+    )
+    @example(side="left", kind="where", store_history=True, c=1.0, k=3, M=200, N=2999)
+    def test_broadcasting_source_equals_a_scalar_only_twin_stepwise(self, side, kind, store_history,
+                                                                    c, k, M, N):
+        # each group's fields come from one array call; a twin that accepts
+        # scalar times only, stepped one step at a time, is the reference.
+        # Two-sided runs are left out as in TestGroupedFill
+        q = group_steps(N)
+        assume(N % q)
+        spec = manufactured_spec(side, 1.5, M, N)
+        switch = 0.4 * spec.time.T
+        if kind == "sine":
+            source = lambda x, t: c * np.sin(k * np.pi * x) * np.exp(-t)
+            twin = lambda x, t: c * np.sin(k * np.pi * x) * math.exp(-t)
+        else:
+            source = lambda x, t: np.where(t < switch, c * np.sin(k * np.pi * x), -c * x * (1 - x))
+            twin = lambda x, t: c * np.sin(k * np.pi * x) if t < switch else -c * x * (1 - x)
+        got_spec, calls = with_source(spec, source)
+        with block_steps(q):
+            got = SOLVERS[side](got_spec, store_history=store_history)
+        twin_spec, twin_calls = with_source(spec, twin)
+        with block_steps(1):
+            want = SOLVERS[side](twin_spec, store_history=store_history)
+        assert len(twin_calls) == N
+        # a group of one step makes one scalar call
+        assert sum(np.ndim(t) > 0 for t in calls) == N // q + (N % q > 1)
+        assert len(calls) <= 3 * math.ceil(N / q) + 3
+        if store_history:
+            scale = np.max(np.abs(want.history), axis=1)
+            assert np.all(np.max(np.abs(got.history - want.history), axis=1) <= 1e-12 * scale)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(np.abs(want.values))
+
+    @pytest.mark.parametrize("source", [
+        lambda x, t: np.sin(np.pi * x) * (1.0 if t < 0.05 else 0.5),  # branches on t
+        lambda x, t: np.sin(np.pi * x) * math.exp(-t),  # TypeError on an array
+        lambda x, t: np.sin(np.pi * x) * np.max(t),  # fails the check at the first time
+    ], ids=["branch", "math.exp", "max"])
+    @pytest.mark.parametrize("store_history", [False, True])
+    def test_rejected_array_call_falls_back_to_one_call_a_step(self, source, store_history):
+        spec = manufactured_spec("left", 1.5, 10, 150)
+        tau = spec.time.tau
+        got_spec, calls = with_source(spec, source)
+        with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
+            got = solve_left(got_spec, store_history=store_history)
+        assert blocks.call_count == 1
+        scalars = {t for t in calls if not np.ndim(t)}
+        assert scalars >= {(n + 1.0) * tau for n in range(150)}
+        with block_steps(1):
+            want = solve_left(ProblemSpec1D(**{**spec.__dict__, "source": source}),
+                              store_history=store_history)
+        assert np.max(np.abs(got.values - want.values)) <= 1e-12 * np.max(np.abs(want.values))
+        if store_history:
+            assert np.max(np.abs(got.history - want.history)) <= 1e-12 * np.max(np.abs(want.history))
+
+    @pytest.mark.parametrize("store_history", [False, True])
+    def test_misshaped_source_raises_naming_it(self, store_history):
+        # a column of values a step, though the array call would pass: the
+        # checks at the group's ends take the shape of each step's field
+        source = lambda x, t: np.sin(np.pi * x) * np.exp(-t) if np.ndim(t) else np.ones((np.size(x), 1))
+        spec = ProblemSpec1D(**{**manufactured_spec("left", 1.5, 10, 150).__dict__,
+                                "source": source})
+        with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks, \
+                pytest.raises(ValueError, match="the source has shape"):
+            solve_left(spec, store_history=store_history)
+        assert blocks.call_count == 1
+
+    def spike(self, spec, size, step):
+        tau = spec.time.tau
+        source = lambda x, t: np.where(np.abs(t - step * tau) < 0.5 * tau, size, 0.0) * np.ones_like(x)
+        return with_source(spec, source)
+
+    @pytest.mark.parametrize("variant", ["plain history", "spike at 20", "spike at 45"])
+    def test_broadcasting_source_blows_up_at_its_step(self, variant):
+        # the array calls are taken, and a chunk that blows up is replayed
+        # one step at a time, which raises at the exact step
+        if variant == "plain history":
+            spec = case_ex5_1(1.9, 50.0, j=5).build_spec(0.1)(100)
+            spec, calls = with_source(spec, spec.source)
+            step = 69
+        elif variant == "spike at 20":  # at K = 64, one group of all 50 steps
+            spec, calls = self.spike(manufactured_spec("left", 1.5, 10, 50), 1e40, 20)
+            step = 20
+        else:  # inside the second group of 32 steps (33 to 64)
+            spec = case_ex5_1(1.5, 1.0, j=5).build_spec(1.0 / 200)(2000)
+            spec, calls = self.spike(spec, 1e40, 45)
+            step = 45
+        sizing = block_steps(64) if variant == "spike at 20" else contextlib.nullcontext()
+        with sizing, warnings.catch_warnings(), \
+                mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
+            warnings.simplefilter("ignore")
+            with pytest.raises(BlowupError) as err:
+                solve_left(spec, store_history=True)
+        assert blocks.call_count == 1
+        assert any(np.ndim(t) for t in calls)
+        assert err.value.step == step
 
 
 def field_spec(side, initial, source):

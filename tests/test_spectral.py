@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigvalsh_tridiagonal, toeplitz
+from scipy.linalg import get_lapack_funcs
 
 from tempfrac.calculus import TemperedParams, w3_closed_form
 from tempfrac import spectral
@@ -182,28 +182,36 @@ class TestBBounds:
     @settings(max_examples=30, deadline=None)
     @given(lam_h=st.floats(0.0, 5.0), M=st.integers(4, 400))
     def test_tridiagonal_spectrum_matches_dense_solve(self, lam_h, M):
+        # four LDL^T factorizations of shifted sym(B) certify the closed-form
+        # extremes: definite just below the bottom one and just above the top
+        # one, indefinite just inside either
         g, lam = grid_for(lam_h, M)
+        pttrf, = get_lapack_funcs(("pttrf",))
         found = []
 
         def recorded(*args, **kwargs):
-            found.append(eigvalsh_tridiagonal(*args, **kwargs))
+            found.append(pttrf(*args, **kwargs))
             return found[-1]
 
-        with mock.patch.object(spectral, "eigvalsh_tridiagonal", side_effect=recorded):
+        with mock.patch.object(spectral, "_pttrf", side_effect=recorded):
             rep = check_B_bounds(lam, g.h, M)
         B = assemble_B("left", g, lam).to_dense()
         dense = np.linalg.eigvalsh(0.5 * (B + B.T))
         extremes = np.array([dense[0], dense[-1]])
-        assert [len(f) for f in found] == [1, 1]  # only the two extremes are computed
-        got = np.array([found[0][0], found[1][0]])
+        infos = [info for *_, info in found]
+        assert len(infos) == 4
+        assert infos[0] == infos[2] == 0 and infos[1] > 0 and infos[3] > 0
+        got = np.array([rep.eig_min, rep.eig_max])
         assert np.max(np.abs(got - extremes)) <= 1e-12 * np.max(np.abs(dense))
-        assert (rep.eig_min, rep.eig_max) == tuple(got)
 
     def test_disagreeing_eigen_solve_raises(self):
-        shifted = lambda *args, **kwargs: eigvalsh_tridiagonal(*args, **kwargs) + 1e-9
-        with mock.patch.object(spectral, "eigvalsh_tridiagonal", side_effect=shifted), \
-                pytest.raises(RuntimeError, match="disagrees"):
-            check_B_bounds(1.0, 0.1, 10)
+        # a factorization that finds every shift definite, or none, puts an
+        # extreme eigenvalue outside the closed form's 1e-10 window
+        for info in (0, 1):
+            reported = lambda d, e, **kwargs: (d, e, info)
+            with mock.patch.object(spectral, "_pttrf", side_effect=reported), \
+                    pytest.raises(RuntimeError, match="disagrees"):
+                check_B_bounds(1.0, 0.1, 10)
 
     def test_no_dimension_cap(self):
         rep = check_B_bounds(1.0, 1e-4, 10_000)
