@@ -49,24 +49,28 @@ One marcher then takes one of two paths:
   path, and the only one for runs too short for a dense G to pay, for the
   generator + FFT stages (whose O(m log m) step beats a product with a
   dense G) and for 2D runs with a plain-callable source;
-* block: K steps at once on an (m, r) state, U <- L^K U (R^K)^T + W g, with
-  the powers and the terms L^j D (R^j)^T of W precomputed and g holding the
-  K temporal samples of each term.  A vector state is the case r = 1,
-  R = [[1]], L = G.  A 1D run with a stored history or a plain-callable
+* block: K steps at once on an (m, r) state, U <- L^K U (R^K)^T plus the
+  sum over the block's steps j of L^j D(g_j) (R^j)^T, D(g_j) the forcing
+  of one step whose temporal samples are g_j.  A vector state is the case
+  r = 1, R = [[1]], L = G, and takes that sum as one product of the
+  samples with a forcing stack of the terms L^j D_t.  A matrix state (2D)
+  holds no stack: the samples of all blocks span a space of some rank r_K
+  (1 for e^{-t}), a block's forcing is a combination of r_K matrices
+  formed by Horner once for each block length, and the march holds one
+  state at a time.  A 1D run with a stored history or a plain-callable
   source marches in blocks of one step, U <- G U + d_n: a plain source is
   called once per group with an array of times where it broadcasts, else
-  once per step, and the fields of a group of steps reach
-  their d_n through one product with the forcing map
+  once per step, and the fields of a group of steps reach their d_n
+  through one product with the forcing map
   step(0, stencil(I)), formed like G, and only once some field is not all
   zero.  The d_n are written straight into the rows of the history, which
   are then filled in place in groups of K steps: the group ends one after
   another through G^K, and everything else in products of all the groups
   at once with G^T, so that the chain of dependent products is N / K long
   instead of N.  Blocks and groups take one length K, the largest power of
-  two up to 64 with K^2 <= N whose forcing stack, K m r floats a term,
-  holds no more than the squarings L^(2^i), R^(2^i) the march keeps anyway
-  (see _block_steps), and one loop serves both: the units go in chunks, K
-  a chunk, each chunk's forcing a few products, its states checked once.
+  two up to 64 with r_K K^2 <= N, r_K = 1 for a vector state (see
+  _block_steps), and one loop serves both: the units go in chunks, K a
+  chunk, its states checked once.
 
 The block and group paths agree with the stepwise one to round-off: to
 1e-12 relative to the run's peak, and to 1e-12 per stored row for runs of
@@ -286,9 +290,11 @@ def _source_term(source, space, shift, stencil):
                  stencil=stencil, batch=lambda times: source(*space, times.reshape(column)))
 
 
-def _block_steps(m, N, r=1):
+def _block_steps(m, N, r=1, rank=None):
     """The block length K of a run of N steps on an (m, r) state; 1 selects
-    the stepwise path.
+    the stepwise path.  ``rank(k)``, given for a matrix state, is the rank
+    of the temporal samples of the run's blocks of k steps (see
+    _sample_basis).
 
     Forming the factors L, R and their powers costs about 32 (m^3 + r^3)
     flops.  Each compiled step saves the per-step overhead (some 40 us) and
@@ -300,20 +306,20 @@ def _block_steps(m, N, r=1):
     breaks even with the stepwise one between 8 and 32 steps there.
 
     Where it pays, K is the largest power of two up to _BLOCK with
-    K^2 <= N and K m r <= K.bit_length() (m^2 + r^2).  Setting up a block
-    costs about K products (the stack, or the two inner passes of a group
-    of K one-step blocks, see _march_blocks) against the N / K dependent
-    ones of the march; and each forcing term's stack, K rows of m r floats,
-    holds no more floats than the powers L^(2^i) and R^(2^i) that the march
-    keeps for the chain anyway, one pair for each bit of K.  A square 2D
-    run thus takes K = 8 at every size; a 1D run, K m <= K.bit_length()
-    (m^2 + 1), is bounded by that only below m = 10.
+    r_K K^2 <= N, r_K the sample rank at K for a matrix state (at least 1)
+    and 1 for a vector state.  Setting up blocks costs about r_K K products
+    against the N / K dependent ones of the march: a matrix state's forcing
+    takes r_K (K - 1) pairs of products by Horner (see _march_blocks), a
+    vector state's forcing stack K products at any rank.  A temporal
+    factor such as e^{-t}, whose samples over a block are one vector times
+    a scalar, has rank 1 and gives K^2 <= N; a rough one, at full rank
+    r_K = K, gives K^3 <= N.
     """
     saved = m * m if r == 1 else m * r * (m + r)
     if N * (4e4 + saved) < 16.0 * (m**3 + r**3):
         return 1
     K = _BLOCK
-    while K > 1 and (K * K > N or K * m * r > K.bit_length() * (m * m + r * r)):
+    while K > 1 and (K * K > N or rank is not None and rank(K) * K * K > N):
         K //= 2
     return K
 
@@ -331,14 +337,15 @@ def _march(step, stages, U, time, terms, history=None, factors=None, toeplitz_st
     Row n of ``history``, an (N + 1, m) array when given, receives the
     state after n steps.
 
-    Where _block_steps gives a block length K > 1, a run whose terms are all
+    Where _block_steps gives a block length K > 1 (for a matrix state,
+    priced by the rank of the temporal samples), a run whose terms are all
     scalar-times-vector marches in blocks of K steps, and a vector state
     with a general term or a history in blocks of one step on L = G, in
     groups of K (see _march_blocks).
     ``toeplitz_stages`` marks steps served through their Toeplitz structure
     (see _toeplitz_map): their O(m log m) solves beat any dense G, so those
-    runs always take the stages.  A matrix state with a general term steps on ``step`` itself,
-    which in 2D is the compiled L U R^T + f.
+    runs always take the stages.  A matrix state with a general term steps
+    on ``step`` itself, which in 2D is the compiled L U R^T + f.
     """
     N, tau = time.N, time.tau
     scalar = [term for term in terms if term.vectors is not None]
@@ -368,9 +375,16 @@ def _march(step, stages, U, time, terms, history=None, factors=None, toeplitz_st
                 history[n + 1] = U
         return U
 
+    def rank(k):  # of the samples of the run's blocks of k steps
+        return len(_sample_basis(samples[:N // k * k].reshape(N // k, -1))[0])
+
     m, r = U.reshape(len(U), -1).shape
-    K = 1 if toeplitz_stages else _block_steps(m, N, r)
-    if K == 1 or (general and U.ndim > 1):
+    vector = U.ndim == 1
+    if toeplitz_stages or general and not vector:
+        K = 1
+    else:
+        K = _block_steps(m, N, r, None if vector else rank)
+    if K == 1:
         return stepwise(U, 0, N)
     if factors is None:
         factors = lambda: (step(np.eye(m), [0.0] * stages), np.ones((1, 1)))
@@ -455,28 +469,34 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
     With (L, R) = factors() a step maps the (m, r) state U to
     L U R^T + sum_t c_t D_t, where D_t = step(0, vectors of term t), and a
     unit of k steps maps it to L^k U (R^k)^T plus the unit's forcing.  A
-    run that records every state (a stored ``history``) or has general
-    terms (``general(start, stop, rows)`` adds their forcing to the rows of
-    those steps and says whether it added any) takes groups of one-step
-    blocks for units: one row a step, holding d_n = sum_t samples[n, t] D_t.
-    Any other run takes blocks of steps: one row a block, the sum over its
-    steps i and terms t of samples[n + i, t] L^(k-1-i) D_t (R^(k-1-i))^T,
-    one row of the product of the block's samples, last step first, with
-    the head of the forcing stack (see _forcing_stack).
+    vector state (r = 1, R = [[1]]) that records every state (a stored
+    ``history``) or has general terms (``general(start, stop, rows)`` adds
+    their forcing to the rows of those steps and says whether it added any)
+    takes groups of one-step blocks for units: one row a step, holding
+    d_n = sum_t samples[n, t] D_t.  Any other run takes blocks of steps,
+    whose forcing is the sum over its steps i and terms t of
+    samples[n + i, t] L^(k-1-i) D_t (R^(k-1-i))^T: the product of the
+    block's samples g, last step first, with the forcing stack (see
+    _forcing_stack) for a vector state; for a matrix state
+    sum_j (g V^T)_j Z_j, with V an orthonormal basis of the row space of
+    the samples of all blocks of that length (see _sample_basis) and
+    Z_j = sum_i V[j, i] L^i D (R^i)^T formed by Horner (see
+    _horner_forcing).
 
     The units go a chunk at a time, K of them (fewer only where fewer are
-    left).  A chunk's rows are rows of ``history`` or of one scratch buffer,
-    which the bound of _block_steps keeps small: a chunk of blocks holds K
-    rows of m r floats, no more than the powers of L and R, and a chunk of
-    groups K^2 <= N rows of m floats, no more than a history would.  The
-    rows receive the chunk's forcing in one product, none where its samples
-    are all zero, and a general term's one group at a time, its fields
-    stacked for that group's steps alone; then _fill_groups fills them with
-    the states, the unit ends following one another through L^k and R^k.
+    left).  A matrix state's chunk holds one state at a time besides the
+    state it starts from: each block is U <- L^k U (R^k)^T + its forcing.
+    A vector state's chunk is filled in rows of ``history`` or of one
+    scratch buffer, K^2 <= N rows of m floats at most, no more than a
+    history would hold.  The rows receive the chunk's forcing in one
+    product, none where its samples are all zero, and a general term's one
+    group at a time, its fields stacked for that group's steps alone; then
+    _fill_groups fills them with the states, the unit ends following one
+    another through L^k.
 
     With gamma, the product of the infinity norms of the powers of L and R,
     bounding the growth of any j <= K steps, a chunk is accepted only when
-    every row is finite and within _BLOCK_LIMIT and so is
+    every state it holds is finite and within _BLOCK_LIMIT and so is
     gamma (|state before a unit| + the sup-norm bound of the forcing in
     it): no step inside a block, and no part a group's rows are summed
     from, can then have come near the limit.  A one-step unit is its own
@@ -488,16 +508,14 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
     drifted by up to 2.4e-6.
     """
     N, T = samples.shape
-    shape = U.shape
     vector = U.ndim == 1
     L, R = factors()
     m, r = len(L), len(R)
-    if not T:
-        D = np.zeros((m, 0, r))
-    elif vector:  # a vector step maps a matrix column by column: one call for all terms
-        D = step(np.zeros((m, T)), [np.column_stack(v) for v in per_stage])[:, :, None]
+    # D[t] = step(0, vectors of term t), an (m, r) matrix
+    if vector and T:  # a vector step maps a matrix column by column: one call for all terms
+        D = step(np.zeros((m, T)), [np.column_stack(v) for v in per_stage]).T[:, :, None]
     else:
-        D = np.stack([step(np.zeros(shape), list(v)) for v in zip(*per_stage)], axis=1)
+        D = np.array([step(np.zeros(U.shape), list(v)) for v in zip(*per_stage)]).reshape(T, m, r)
     grouped = history is not None or general is not None
 
     # L^(2^i) and R^(2^i) for every bit of K; since
@@ -516,10 +534,10 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
     # Python floats overflow to inf silently; np.maximum keeps a NaN
     gamma = math.prod(np.maximum(1.0, norms).tolist())
     # sup-norm bound of each step's forcing, summed per unit below
-    forcing_bound = np.abs(samples) @ np.max(np.abs(D), axis=(0, 2))
+    forcing_bound = np.abs(samples) @ np.abs(D).max(axis=(1, 2))
 
-    # the forcing stack of a block of k steps is the head of the longest one
-    W = _forcing_stack(powers, D, 1 if grouped else K)
+    if vector:  # the forcing stack of a block of k steps is the head of the longest one
+        W = _forcing_stack([Lp for Lp, _ in powers], D[:, :, 0], 1 if grouped else K)
     n = 0
     u_norm = abs(U).max()
     for length in (K, N % K):
@@ -527,41 +545,49 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
         if not units:
             continue
         k, q = (1, length) if grouped else (length, 1)
-        if history is None:  # the rows of a chunk of K units
-            scratch = np.empty((min(units, K) * q, m * r))
-        Wk = W[:k * T]
         Lk, Rk = _block_power(powers, length)
         bounds = forcing_bound[n:n + units * length].reshape(units, length).sum(axis=1)
         # one row of samples a row of the chunk, a block's last step first
         g = samples[n:n + units * length].reshape(units * q, k, T)[:, ::-1].reshape(units * q, k * T)
+        if not vector:  # the blocks' forcing in the row space of their samples
+            V, coordinates = _sample_basis(g)
+            Z = _horner_forcing(L, R, D, V.reshape(len(V), k, T))
+        elif history is None:  # the rows of a chunk of K units
+            scratch = np.empty((min(units, K) * q, m))
         for first in range(0, units, K):
             last = min(first + K, units)
             start, stop = n + first * length, n + last * length
-            rows = scratch[:(last - first) * q] if history is None else history[start + 1:stop + 1]
-            forced = g[first * q:last * q].any()
-            if forced:
-                np.matmul(g[first * q:last * q], Wk, out=rows)
-            else:
-                rows[...] = 0.0
-            if general is not None:
-                for a in range(start, stop, q):
-                    forced |= general(a, a + q, rows[a - start:a - start + q])
-            groups = rows.reshape(-1, q, m * r)
+            if vector:
+                rows = (scratch[:(last - first) * q] if history is None
+                        else history[start + 1:stop + 1])
+                forced = g[first * q:last * q].any()
+                if forced:
+                    np.matmul(g[first * q:last * q], W[:k * T], out=rows)
+                else:
+                    rows[...] = 0.0
+                if general is not None:
+                    for a in range(start, stop, q):
+                        forced |= general(a, a + q, rows[a - start:a - start + q])
+                groups = rows.reshape(-1, q, m)
             with np.errstate(over="ignore", invalid="ignore"):
                 pushed = bounds[first:last]  # the forcing bound of each unit
-                if grouped and forced:  # general terms too, before the fill, without |rows|
-                    pushed = np.maximum(groups.max(axis=2), -groups.min(axis=2)).sum(axis=1)
-                previous = _fill_groups(groups, U, L, Lk, Rk, forced)
-                ends = np.abs(groups[:, -1]).max(axis=1)
-                accepted = (ends <= _BLOCK_LIMIT).all()  # False for inf or NaN
-                if q > 1:  # the rows inside the groups, without holding their |.|
-                    inner = groups[:, :-1]
-                    accepted &= inner.max() <= _BLOCK_LIMIT and -inner.min() <= _BLOCK_LIMIT
+                if not vector:
+                    previous, ends = _march_states(U, Lk, Rk, Z, coordinates[first:last])
+                    accepted = (ends <= _BLOCK_LIMIT).all()  # False for inf or NaN
+                else:
+                    if grouped and forced:  # general terms too, before the fill, without |rows|
+                        pushed = np.maximum(groups.max(axis=2), -groups.min(axis=2)).sum(axis=1)
+                    previous = _fill_groups(groups, U, L, Lk, forced)
+                    ends = np.abs(groups[:, -1]).max(axis=1)
+                    accepted = (ends <= _BLOCK_LIMIT).all()
+                    if q > 1:  # the rows inside the groups, without holding their |.|
+                        inner = groups[:, :-1]
+                        accepted &= inner.max() <= _BLOCK_LIMIT and -inner.min() <= _BLOCK_LIMIT
                 if length > 1:
                     before = np.concatenate(([u_norm], ends[:-1]))
                     accepted &= (gamma * (before + pushed) <= _BLOCK_LIMIT).all()
-            if accepted:
-                U, u_norm = previous.copy(), ends[-1]
+            if accepted:  # a vector state's last row is a view
+                U, u_norm = previous.copy() if vector else previous, ends[-1]
             else:
                 U = stepwise(U, start, stop)
                 u_norm = abs(U).max()
@@ -569,33 +595,79 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
     return U
 
 
-def _fill_groups(groups, U, L, Lq, Rq, forced):
-    """Fill ``groups``, J groups of q rows each holding one block's forcing
-    (and for q > 1 one step's, on a vector state), with the states of the
-    blocks from U on; returns the last.  ``forced`` is False where all the
-    forcing is zero.
+def _sample_basis(g):
+    """(V, g V^T): an orthonormal basis V of the row space of the samples
+    g, one basis vector a row, and the rows of g in it.
 
-    A row holds its block's state transposed (see _forcing_stack).  The
-    states of a group from its start S are L^(i+1) S plus the particular
-    part, the sum of L^(i-l) d_l over its steps l <= i.  Three passes:
-    the particular parts of all J groups at once, q - 1 products of a
-    (J, m) block with L^T, none for zero forcing; the group ends, one
-    after the other, S_(j+1) = L^q S_j (R^q)^T + particular part, the only
+    The rank counts the singular values above eps max(g.shape) times the
+    largest, of g with each nonzero row scaled to a largest entry of 1:
+    every row then keeps its own accuracy in the basis, however small it is
+    beside the others (a row's part outside the basis is at most
+    eps max(g.shape) sqrt(rows) times its size).  Samples that are not all
+    finite are taken as they stand, V the identity: their blocks' states
+    are then not finite either, and are replayed stepwise.
+    """
+    if not np.isfinite(g).all():
+        return np.eye(g.shape[1]), g
+    size = np.abs(g).max(axis=1)
+    _, s, V = np.linalg.svd(g[size > 0] / size[size > 0, None], full_matrices=False)
+    V = V[:np.count_nonzero(s > np.finfo(float).eps * max(g.shape) * s[:1])]
+    return V, g @ V.T
+
+
+def _horner_forcing(L, R, D, V):
+    """Z_j = sum_i L^i D(V[j, i]) (R^i)^T for each j, where D(v) =
+    sum_t v_t D[t] is the forcing of one step whose samples are v: by
+    Horner, k - 1 pairs of products for each j, all j at once.  Returns
+    the Z_j flattened, one a row."""
+    rank, k, T = V.shape
+    m, r = len(L), len(R)
+    D = D.reshape(T, m * r)
+    Z = (V[:, -1] @ D).reshape(rank, m, r)
+    for i in range(k - 2, -1, -1):
+        Z = L @ Z @ R.T
+        Z += (V[:, i] @ D).reshape(Z.shape)
+    return Z.reshape(rank, m * r)
+
+
+def _march_states(U, Lk, Rk, Z, coordinates):
+    """The blocks from U on, one state at a time: U <- Lk U Rk^T plus the
+    forcing c Z of the block's ``coordinates`` c against the flattened
+    maps Z (see _horner_forcing); returns the last state and the sup-norm
+    of each."""
+    ends = np.empty(len(coordinates))
+    RkT = Rk.T
+    for b, c in enumerate(coordinates):
+        U = Lk @ U @ RkT
+        if c.any():
+            U += (c @ Z).reshape(U.shape)
+        ends[b] = np.maximum(U.max(), -U.min())  # NaN where U holds one
+    return U, ends
+
+
+def _fill_groups(groups, U, L, Lq, forced):
+    """Fill ``groups``, J groups of q rows each holding one block's forcing
+    (for q > 1 one step's), with the states of the blocks from the vector
+    U on; returns the last.  ``forced`` is False where all the forcing is
+    zero.
+
+    The states of a group from its start S are L^(i+1) S plus the
+    particular part, the sum of L^(i-l) d_l over its steps l <= i.  Three
+    passes: the particular parts of all J groups at once, q - 1 products of
+    a (J, m) block with L^T, none for zero forcing; the group ends, one
+    after the other, S_(j+1) = L^q S_j + particular part, the only
     dependent products; then the homogeneous parts of all groups at once,
     q - 1 more products with L^T.  For q = 1 only the ends are left: one
     product a block.
     """
-    J, q, _ = groups.shape
-    vector = U.ndim == 1
+    q = groups.shape[1]
     if q > 1 and forced:
         for i in range(1, q):
             groups[:, i] += groups[:, i - 1] @ L.T
     ends = groups[:, -1]
-    states = ends if vector else ends.reshape(J, -1, len(Lq)).transpose(0, 2, 1)
-    RqT = Rq.T
     previous = U
-    for state in states:
-        state += Lq @ previous if vector else Lq @ previous @ RqT
+    for state in ends:
+        state += Lq @ previous
         previous = state
     if q > 1:
         Y = np.concatenate((U[None], ends[:-1]))  # the group starts
@@ -616,31 +688,25 @@ def _block_power(powers, k):
 
 
 def _forcing_stack(powers, D, k):
-    """The forcing stack for blocks of up to k steps, from the forcing terms
-    D of shape (m, T, r).
+    """The forcing stack of a vector state for blocks of up to k steps, from
+    the squarings ``powers`` = [L^(2^i)] and the forcing terms D, one row
+    a term.
 
-    Row i T + t holds L^i D_t (R^i)^T, an (m, r) matrix, transposed and
-    flattened: entry (a, b) at column b m + a.  The head of i < k' rows
-    serves a block of k' steps, its samples taken last step first.  For
-    k = K each term's k rows hold no more floats than the squarings
-    ``powers`` (the bound of _block_steps).
+    Row i T + t holds L^i D_t.  The head of i < k' rows serves a block of
+    k' steps, its samples taken last step first.  It is filled by doubling:
+    the first w entries through L^w give the next w, one product.
     """
-    m, T, r = D.shape
-    X = np.empty((k * T, r, m))
-    X[:T] = D.transpose(1, 2, 0)
-    # filled by doubling: the first w entries through L^w and R^w give the
-    # next w, one product through L and one through R, whose result is held
-    # apart for a moment (at most half the stack)
+    T, m = D.shape
+    X = np.empty((k * T, m))
+    X[:T] = D
     w = 1
-    for L, R in powers:
+    for Lw in powers:
         if w >= k:
             break
         c = min(w, k - w) * T
-        Y = X[w * T:w * T + c]
-        np.matmul(X[:c].reshape(c * r, m), L.T, out=Y.reshape(c * r, m))
-        Y[...] = R @ Y
+        np.matmul(X[:c], Lw.T, out=X[w * T:w * T + c])
         w *= 2
-    return X.reshape(k * T, r * m)
+    return X
 
 
 def _solve(spec, thetas, P, terms, store_history):

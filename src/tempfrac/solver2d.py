@@ -29,7 +29,15 @@ products with U, plus two with the source field for a plain-callable
 source, none for a :class:`~tempfrac.solver1d.SeparableSource`, whose
 profile is mapped once.
 The marcher of :mod:`tempfrac.solver1d` takes the step in blocks of steps,
-U <- L^K U (R^K)^T + sum_j g_j L^j D (R^j)^T with D = Fx (profile) Fy^T.
+U <- L^K U (R^K)^T + sum_j g_j L^j D (R^j)^T with D = Fx (profile) Fy^T
+and g_j the temporal samples of the block's steps, last step first.  It
+forms no stack of the terms L^j D (R^j)^T: the samples of all blocks of
+a length span r_K basis vectors V_i (one for e^{-t}), and a block's
+forcing combines the r_K matrices sum_j V_i[j] L^j D (R^j)^T, formed by
+Horner.  The march holds one state at a time, so a run holds its stage
+matrices, L, R, their squarings, Fx, Fy, the node fields and a few m x m
+matrices besides, whatever the block length K (r_K K^2 <= N, see
+:func:`~tempfrac.solver1d._block_steps`).
 A run with a plain-callable source, a run too short for blocks to pay, and
 any chunk of blocks whose growth bound comes near the blowup limit take it
 one step at a time.  The stages are built and the march runs

@@ -260,7 +260,7 @@ class TestTemporalOrder:
 @contextlib.contextmanager
 def block_steps(K):
     """March in blocks of K steps (1: stepwise) whatever the size of the run."""
-    with mock.patch.object(solver1d, "_block_steps", lambda m, N, r=1: K):
+    with mock.patch.object(solver1d, "_block_steps", lambda m, N, r=1, rank=None: K):
         yield
 
 
@@ -385,22 +385,30 @@ class TestBlockMarching:
         (199, 2000, 1, 32),  # a history run at M = 200: K^2 <= N
         (9, 100, 1, 8),  # study1d's first level at tau = h^3
         (39, 6400, 1, 64),  # at most _BLOCK
-        (9, 6400, 1, 32),  # 64 x 9 floats a term would outgrow G's 7 squarings
+        (9, 6400, 1, 64),  # no bound by the size of the state
         (599, 30000, 1, 64),
         (159, 100, 159, 8),  # 2D at M = 160: K^2 <= N
         (119, 100, 119, 8),
-        (79, 716, 79, 8),  # 2D at M = 80: 16 x 79^2 floats would outgrow 5 pairs of squarings
-        (319, 5724, 319, 8),  # 2D at M = 320, tau = h^1.5: every square run takes 8
-        (39, 6400, 159, 16),  # a rectangle: 16 x 39 x 159 <= 5 (39^2 + 159^2)
+        (79, 716, 79, 16),  # 2D at M = 80, tau = h^1.5
+        (319, 5724, 319, 64),  # 2D at M = 320, tau = h^1.5
+        (39, 6400, 159, 64),  # a rectangle
     ])
     def test_block_length_is_the_largest_power_of_two_that_fits(self, m, N, r, K):
         # wherever compiling pays, one rule: the largest power of two up to
-        # _BLOCK = 64 with K^2 <= N whose forcing stack, K m r floats a term,
-        # holds no more floats than the squarings L^(2^i), R^(2^i) for the
-        # bits of K
-        fits = [k for k in (1, 2, 4, 8, 16, 32, 64)
-                if k * k <= N and k * m * r <= k.bit_length() * (m * m + r * r)]
+        # _BLOCK = 64 with r_K K^2 <= N, r_K = 1 without a sample rank
+        fits = [k for k in (1, 2, 4, 8, 16, 32, 64) if k * k <= N]
         assert solver1d._block_steps(m, N, r) == max(fits) == K
+
+    @pytest.mark.parametrize("rank,K", [
+        (lambda k: 0, 64),  # no forcing: K^2 <= N
+        (lambda k: 1, 64),  # e^{-t}: K^2 <= N
+        (lambda k: 2, 32),  # cos(w t): 2 K^2 <= N
+        (lambda k: k, 16),  # rough samples at full rank: K^3 <= N
+    ], ids=["zero", "rank 1", "rank 2", "full rank"])
+    def test_block_length_is_priced_by_the_sample_rank(self, rank, K):
+        # a matrix state's forcing takes r_K (K - 1) pairs of Horner
+        # products, so r_K K^2 <= N; at M = 320 and tau = h^1.5
+        assert solver1d._block_steps(319, 5724, 319, rank) == K
 
     def test_block_path_only_where_dense_G_pays(self):
         # long runs on study grids march in blocks; wide grids with few

@@ -3,12 +3,13 @@ and the block marcher against the stepwise sweeps."""
 
 import contextlib
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
@@ -130,7 +131,7 @@ def block_steps(K):
     if K is None:
         yield
         return
-    with mock.patch.object(solver1d, "_block_steps", lambda m, N, r=1: K):
+    with mock.patch.object(solver1d, "_block_steps", lambda m, N, r=1, rank=None: K):
         yield
 
 
@@ -193,9 +194,8 @@ class TestBlockMarching:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_wide_square_run_marches_in_blocks_of_8(self):
-        # 259 unknowns a direction: the forcing stack of 8 steps, 8 x 259^2
-        # floats, holds no more than the 4 pairs of squarings, so a square
-        # run this wide still takes blocks
+        # 259 unknowns a direction and 64 steps of a rank-1 factor: K^2 <= N
+        # gives blocks of 8, whatever the width
         spec = case_ex5_3(1.5, 1.5, 1.0, 1.0).build_spec(1.0 / 260)(64)
         assert solver1d._block_steps(259, 64, 259) == 8
         with block_steps(1):
@@ -241,6 +241,141 @@ class TestBlockMarching:
             with pytest.raises(BlowupError) as err:
                 solve_adi(spec)
         assert err.value.step == 34
+
+
+def temporal_factor(kind, omega, seed, time):
+    """A temporal factor whose samples over the blocks have rank 1
+    (e^{-t}), 2 (cos w t) or full (``rough``: a seeded table of one random
+    value a step time, read through np.interp)."""
+    if kind == "exp":
+        return lambda t: np.exp(-t)
+    if kind == "cos":
+        return lambda t: np.cos(omega * t)
+    times = (np.arange(time.N) + 0.5) * time.tau  # the times of the ADI source
+    table = np.random.default_rng(seed).standard_normal(time.N)
+    return lambda t: np.interp(t, times, table)
+
+
+# the sample rank of each kind of factor at block length K
+SAMPLE_RANKS = {"exp": lambda K: 1, "cos": lambda K: 2, "rough": lambda K: K}
+
+
+def replays_recorded(replays):
+    """Patch _march_blocks to record the (start, stop) of each chunk it
+    replays stepwise, and the block length it runs with."""
+    march = solver1d._march_blocks
+
+    def spy(step, U, samples, per_stage, factors, K, stepwise, *rest):
+        def recorded(U, start, stop):
+            replays.append((start, stop))
+            return stepwise(U, start, stop)
+        replays.append(K)
+        return march(step, U, samples, per_stage, factors, K, recorded, *rest)
+
+    return mock.patch.object(solver1d, "_march_blocks", spy)
+
+
+class TestSampleRank:
+    """2D blocks carry their forcing in the row space of the blocks'
+    temporal samples, one state in flight; the block length is priced by
+    that rank."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(sorted(SAMPLE_RANKS)), omega=st.floats(1.0, 30.0),
+           alpha=ORDERS, beta=ORDERS, lam_hx=LAM_H, lam_hy=LAM_H, Mx=st.integers(4, 12),
+           My=st.integers(4, 12), N=st.integers(40, 1500), seed=st.integers(0, 2**16))
+    def test_blocks_equal_single_steps_at_every_sample_rank(self, kind, omega, alpha, beta,
+                                                            lam_hx, lam_hy, Mx, My, N, seed):
+        # K is the largest power of two up to 64 with r_K K^2 <= N, r_K the
+        # sample rank at K; a leftover block of N mod K steps follows
+        K = max(k for k in (1, 2, 4, 8, 16, 32, 64) if SAMPLE_RANKS[kind](k) * k * k <= N)
+        assume(N % K)
+        spec = random_spec2d(alpha, beta, lam_hx, lam_hy, Mx, My, N, *polynomials(seed))
+        source = SeparableSource(spec.source.profile, temporal_factor(kind, omega, seed, spec.time))
+        spec = ProblemSpec2D(**{**spec.__dict__, "source": source})
+        with block_steps(1):
+            ref = solve_adi(spec).values
+        replays = []
+        with replays_recorded(replays):
+            got = solve_adi(spec).values
+        assert replays == [K]  # no chunk replayed
+        if kind == "rough":
+            assert K**3 <= N
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_each_block_keeps_its_own_accuracy_in_the_basis(self):
+        # rows of size 1 along one direction and of size 1e-20 along
+        # another: the small rows keep their direction (rank 2) and come
+        # back to round-off of their own size, not of the largest row's
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal((2, 16))
+        g = np.vstack([np.outer(rng.uniform(0.5, 2.0, 20), a),
+                       np.outer(rng.uniform(0.5, 2.0, 20), 1e-20 * b)])
+        V, coordinates = solver1d._sample_basis(g)
+        assert len(V) == 2
+        assert np.allclose(V @ V.T, np.eye(2), rtol=0.0, atol=1e-14)
+        off = np.max(np.abs(coordinates @ V - g), axis=1) / np.max(np.abs(g), axis=1)
+        assert off.max() <= 1e-14
+
+    def test_a_spike_replays_its_chunk_and_later_chunks_are_accepted(self):
+        # a sample of 1e28 at step 300 pushes the growth bound past the
+        # limit, so its chunk of 16 blocks goes back to the stepwise path;
+        # the state decays, and the chunks after it march in blocks again
+        N, spike = 1000, 300
+        grid, time = Grid1D(0.0, 1.0, 12), TimeGrid(2.0, N)
+
+        def factor(t):
+            return np.where(np.round(t / time.tau - 0.5) == spike, 1e28, np.exp(-t))
+
+        spec = ProblemSpec2D(
+            grid_x=grid, grid_y=grid, time=time,
+            params_x=TemperedParams(1.9, 0.0), params_y=TemperedParams(1.8, 0.0),
+            initial=lambda X, Y: np.sin(np.pi * X) * np.sin(np.pi * Y),
+            source=SeparableSource(lambda X, Y: X * (1.0 - X) * Y * (1.0 - Y), factor),
+        )
+        with block_steps(1):
+            ref = solve_adi(spec).values
+        replays = []
+        with replays_recorded(replays):
+            got = solve_adi(spec).values
+        # rank 2 (the spike and e^{-t}): 2 K^2 <= N
+        assert replays == [16, (256, 512)]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("K", [1, None])
+    def test_a_non_finite_sample_blows_up_at_its_step(self, K):
+        # the factor is inf from the source time of step 151, (150 + 1/2)
+        # tau, on: no basis is taken of such samples, and the chunk holding
+        # it is replayed to that step
+        spec = random_spec2d(1.5, 1.5, 0.5, 0.5, 10, 10, 400, *polynomials(5))
+        tau = spec.time.tau
+        source = SeparableSource(spec.source.profile,
+                                 lambda t: np.where(t > 150 * tau, np.inf, np.exp(-t)))
+        spec = ProblemSpec2D(**{**spec.__dict__, "source": source})
+        with block_steps(K), pytest.raises(BlowupError) as err:
+            solve_adi(spec)
+        assert err.value.step == 151
+
+    def test_memory_holds_no_term_in_the_block_length(self):
+        # ex5_3 at M = 160, N = 100 runs in blocks of 8.  The run holds each
+        # direction's LU factor and applied stage matrix, L and R, their
+        # squarings up to the 8th powers, the forcing maps and the node
+        # fields X, Y and U0.  Besides those: D, the source's mapped profile,
+        # the Horner map Z, the state a chunk starts from, the state in
+        # flight and two temporaries of a block step, eight m x m matrices
+        # with one to spare, and eight floats a step
+        m, N = 159, 100
+        spec = case_ex5_3(1.2, 1.5, 1.0, 1.0).build_spec(1.0 / (m + 1))(N)
+        assert solver1d._block_steps(m, N, m) == 8
+        solve_adi(spec)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            solve_adi(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrices = (2 + 2 + 2 + 6) * m * m + 2 * m * (m + 2) + 3 * (m + 2) ** 2
+        assert peak <= 8 * (matrices + 8 * m * m + 8 * N)
 
 
 def sweep_march(spec):
