@@ -260,7 +260,7 @@ class TestTemporalOrder:
 @contextlib.contextmanager
 def block_steps(K):
     """March in blocks of K steps (1: stepwise) whatever the size of the run."""
-    with mock.patch.object(solver1d, "_block_steps", lambda m, N, r=1, rank=None: K):
+    with mock.patch.object(solver1d, "_block_steps", lambda m, N, r=1, rank=None, spatial=None: K):
         yield
 
 
@@ -387,28 +387,63 @@ class TestBlockMarching:
         (39, 6400, 1, 64),  # at most _BLOCK
         (9, 6400, 1, 64),  # no bound by the size of the state
         (599, 30000, 1, 64),
-        (159, 100, 159, 8),  # 2D at M = 160: K^2 <= N
+        (159, 100, 159, 8),  # matrix states at w = 1: K^2 <= N
         (119, 100, 119, 8),
-        (79, 716, 79, 16),  # 2D at M = 80, tau = h^1.5
-        (319, 5724, 319, 64),  # 2D at M = 320, tau = h^1.5
+        (79, 716, 79, 16),
+        (319, 5724, 319, 64),
         (39, 6400, 159, 64),  # a rectangle
     ])
     def test_block_length_is_the_largest_power_of_two_that_fits(self, m, N, r, K):
         # wherever compiling pays, one rule: the largest power of two up to
-        # _BLOCK = 64 with r_K K^2 <= N, r_K = 1 without a sample rank
+        # _BLOCK = 64 with r_K K ceil(K / w) <= N, here K^2 <= N: r_K = 1
+        # without a sample rank and w = 1 without a spatial one
         fits = [k for k in (1, 2, 4, 8, 16, 32, 64) if k * k <= N]
         assert solver1d._block_steps(m, N, r) == max(fits) == K
 
-    @pytest.mark.parametrize("rank,K", [
-        (lambda k: 0, 64),  # no forcing: K^2 <= N
-        (lambda k: 1, 64),  # e^{-t}: K^2 <= N
-        (lambda k: 2, 32),  # cos(w t): 2 K^2 <= N
-        (lambda k: k, 16),  # rough samples at full rank: K^3 <= N
-    ], ids=["zero", "rank 1", "rank 2", "full rank"])
-    def test_block_length_is_priced_by_the_sample_rank(self, rank, K):
-        # a matrix state's forcing takes r_K (K - 1) pairs of Horner
-        # products, so r_K K^2 <= N; at M = 320 and tau = h^1.5
-        assert solver1d._block_steps(319, 5724, 319, rank) == K
+    @pytest.mark.parametrize("rank,S,K", [
+        (lambda k: 0, 319, 64),  # no forcing: K^2 <= N
+        (lambda k: 1, 319, 64),  # e^{-t}: K^2 <= N
+        (lambda k: 2, 319, 32),  # cos(w t): 2 K^2 <= N
+        (lambda k: k, 319, 16),  # rough samples at full rank: K^3 <= N
+        (lambda k: 2, 80, 64),  # pieces of w = 2 steps: 2 K ceil(K / 2) <= N
+        (lambda k: k, 80, 16),  # K^2 ceil(K / 2) <= N
+        (lambda k: 2, 2, 64),  # ex5_3's profile, pieces of w = 64: 2 K <= N
+        (lambda k: k, 2, 64),  # K^2 <= N
+    ], ids=["zero", "rank 1", "rank 2", "full rank", "rank 2, w = 2", "full rank, w = 2",
+            "rank 2, w = 64", "full rank, w = 64"])
+    def test_block_length_is_priced_by_the_sample_rank(self, rank, S, K):
+        # a matrix state's forcing takes, for each of r_K basis vectors, one
+        # product a piece of w steps and a pair of Horner products joining
+        # the pieces, so r_K K ceil(K / w) <= N, w the largest power of two
+        # with w S <= max(m, r); at M = 320 and tau = h^1.5, where a forcing
+        # of full spatial rank (S = m) takes pieces of one step
+        assert solver1d._block_steps(319, 5724, 319, rank, lambda: S) == K
+
+    @pytest.mark.parametrize("m,r,S,w", [
+        (159, 159, 2, 64),  # ex5_3 at M = 160: 128 rows a stack
+        (128, 100, 2, 64),  # w S = max(m, r) fits
+        (127, 127, 2, 32),
+        (9, 9, 2, 4),
+        (3, 40, 2, 16),  # the larger dimension counts
+        (9, 9, 0, 64),  # no forcing: at most _BLOCK
+        (9, 9, 9, 1),  # full spatial rank
+        (9, 9, 30, 1),  # at least 1
+    ])
+    def test_piece_length_is_the_largest_power_of_two_that_fits(self, m, r, S, w):
+        assert solver1d._piece_steps(m, r, S) == w
+
+    @pytest.mark.parametrize("m,N,K", [
+        (9, 32, 8),  # the converge levels of ex5_3 at tau = h^1.5, M = 10 to 80
+        (19, 90, 16),
+        (39, 253, 32),
+        (79, 716, 64),
+        (119, 100, 32),  # the direct solves at M = 120 and 160
+        (159, 100, 64),
+    ])
+    def test_2d_study_takes_long_blocks(self, m, N, K):
+        # ex5_3's e^{-t} (r_K = 1) on its profile of spatial rank 2: pieces
+        # of 4, 8, 16, 32, 32 and 64 steps
+        assert solver1d._block_steps(m, N, m, lambda k: 1, lambda: 2) == K
 
     def test_block_path_only_where_dense_G_pays(self):
         # long runs on study grids march in blocks; wide grids with few
@@ -825,10 +860,10 @@ class TestGroupedFill:
 
     def test_fill_runs_on_one_blas_thread(self):
         # a solve builds its stages (the LU factor of the 199-unknown stage
-        # matrix), forms G and its powers and marches with every OpenBLAS
-        # pool capped at one thread, restored afterwards: a history run in
-        # groups of 32 one-step blocks and a separable run in blocks of 32
-        # steps, whose forcing stack is formed inside the cap as well
+        # matrix), forms G and marches with every OpenBLAS pool capped at
+        # one thread, restored afterwards: a history run in groups of 32
+        # one-step blocks and a separable run in blocks of 32 steps, whose
+        # march forms G's powers and the forcing stack inside the cap too
         seen = []
 
         def spy(fn):
@@ -842,12 +877,11 @@ class TestGroupedFill:
         before = [get() for get, _ in _blas._pools()]
         with mock.patch.object(solver1d, "lu_factor", spy(solver1d.lu_factor)), \
                 mock.patch.object(solver1d, "_fill_groups", spy(solver1d._fill_groups)), \
-                mock.patch.object(solver1d, "_block_power", spy(solver1d._block_power)), \
-                mock.patch.object(solver1d, "_forcing_stack", spy(solver1d._forcing_stack)):
+                mock.patch.object(solver1d, "_march_blocks", spy(solver1d._march_blocks)):
             solve_left(spec, store_history=True)
             solve_left(spec)
         names = [name for name, _ in seen]
-        assert names.count("lu_factor") == 2 and names.count("_forcing_stack") == 2
+        assert names.count("lu_factor") == 2 and names.count("_march_blocks") == 2
         assert names.count("_fill_groups") >= 4
         assert [counts for _, counts in seen] == [[1] * len(before)] * len(seen)
         assert [get() for get, _ in _blas._pools()] == before

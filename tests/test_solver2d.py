@@ -131,7 +131,7 @@ def block_steps(K):
     if K is None:
         yield
         return
-    with mock.patch.object(solver1d, "_block_steps", lambda m, N, r=1, rank=None: K):
+    with mock.patch.object(solver1d, "_block_steps", lambda m, N, r=1, rank=None, spatial=None: K):
         yield
 
 
@@ -193,16 +193,18 @@ class TestBlockMarching:
         got = solve_adi(spec).values
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_wide_square_run_marches_in_blocks_of_8(self):
-        # 259 unknowns a direction and 64 steps of a rank-1 factor: K^2 <= N
-        # gives blocks of 8, whatever the width
+    def test_wide_square_run_marches_in_one_block_of_64(self):
+        # 259 unknowns a direction and 64 steps of a rank-1 factor on ex5_3's
+        # profile of spatial rank 2: pieces of w = 64 steps, so K <= N gives
+        # one block of 64, its forcing one product of the stacks' heads
         spec = case_ex5_3(1.5, 1.5, 1.0, 1.0).build_spec(1.0 / 260)(64)
-        assert solver1d._block_steps(259, 64, 259) == 8
+        assert solver1d._block_steps(259, 64, 259, lambda k: 1, lambda: 2) == 64
         with block_steps(1):
             ref = solve_adi(spec).values
         with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
             got = solve_adi(spec).values
-        assert blocks.call_args.args[5] == 8
+        assert blocks.call_args.args[5] == 64
+        assert len(blocks.call_args.args[9][2]) == 2  # S, the forcing's spatial rank
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("K", [3, None])
@@ -256,13 +258,15 @@ def temporal_factor(kind, omega, seed, time):
     return lambda t: np.interp(t, times, table)
 
 
-# the sample rank of each kind of factor at block length K
+# the sample rank of each kind of factor at block length K, where the run
+# has at least that many blocks of K steps
 SAMPLE_RANKS = {"exp": lambda K: 1, "cos": lambda K: 2, "rough": lambda K: K}
 
 
-def replays_recorded(replays):
+def replays_recorded(replays, spatial=None):
     """Patch _march_blocks to record the (start, stop) of each chunk it
-    replays stepwise, and the block length it runs with."""
+    replays stepwise, and the block length it runs with; and in
+    ``spatial``, when given, the spatial rank S of the run's forcing."""
     march = solver1d._march_blocks
 
     def spy(step, U, samples, per_stage, factors, K, stepwise, *rest):
@@ -270,6 +274,8 @@ def replays_recorded(replays):
             replays.append((start, stop))
             return stepwise(U, start, stop)
         replays.append(K)
+        if spatial is not None:
+            spatial.append(len(rest[-1][2]))
         return march(step, U, samples, per_stage, factors, K, recorded, *rest)
 
     return mock.patch.object(solver1d, "_march_blocks", spy)
@@ -286,21 +292,21 @@ class TestSampleRank:
            My=st.integers(4, 12), N=st.integers(40, 1500), seed=st.integers(0, 2**16))
     def test_blocks_equal_single_steps_at_every_sample_rank(self, kind, omega, alpha, beta,
                                                             lam_hx, lam_hy, Mx, My, N, seed):
-        # K is the largest power of two up to 64 with r_K K^2 <= N, r_K the
-        # sample rank at K; a leftover block of N mod K steps follows
-        K = max(k for k in (1, 2, 4, 8, 16, 32, 64) if SAMPLE_RANKS[kind](k) * k * k <= N)
-        assume(N % K)
+        # K is the largest power of two up to 64 with r_K K ceil(K / w) <= N,
+        # r_K the sample rank at K and w the piece length of the profile's
+        # spatial rank S; a leftover block of N mod K steps may follow
         spec = random_spec2d(alpha, beta, lam_hx, lam_hy, Mx, My, N, *polynomials(seed))
         source = SeparableSource(spec.source.profile, temporal_factor(kind, omega, seed, spec.time))
         spec = ProblemSpec2D(**{**spec.__dict__, "source": source})
         with block_steps(1):
             ref = solve_adi(spec).values
-        replays = []
-        with replays_recorded(replays):
+        replays, spatial = [], []
+        with replays_recorded(replays, spatial):
             got = solve_adi(spec).values
+        w = solver1d._piece_steps(Mx - 1, My - 1, spatial[0])
+        K = max(k for k in (1, 2, 4, 8, 16, 32, 64)
+                if max(1, min(SAMPLE_RANKS[kind](k), N // k)) * k * -(-k // w) <= N)
         assert replays == [K]  # no chunk replayed
-        if kind == "rough":
-            assert K**3 <= N
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_each_block_keeps_its_own_accuracy_in_the_basis(self):
@@ -336,9 +342,10 @@ class TestSampleRank:
         with block_steps(1):
             ref = solve_adi(spec).values
         replays = []
-        with replays_recorded(replays):
+        with replays_recorded(replays), block_steps(16):
             got = solve_adi(spec).values
-        # rank 2 (the spike and e^{-t}): 2 K^2 <= N
+        # blocks of 16 steps, chunks of 256: the run's own K (32) would put
+        # all of it in one chunk
         assert replays == [16, (256, 512)]
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -356,18 +363,35 @@ class TestSampleRank:
             solve_adi(spec)
         assert err.value.step == 151
 
-    def test_memory_holds_no_term_in_the_block_length(self):
-        # ex5_3 at M = 160, N = 100 runs in blocks of 8.  The run holds each
-        # direction's LU factor and applied stage matrix, L and R, their
-        # squarings up to the 8th powers, the forcing maps and the node
-        # fields X, Y and U0.  Besides those: D, the source's mapped profile,
-        # the Horner map Z, the state a chunk starts from, the state in
-        # flight and two temporaries of a block step, eight m x m matrices
-        # with one to spare, and eight floats a step
+    @pytest.mark.parametrize("profile", ["ex5_3", "full rank"])
+    def test_memory_holds_no_term_in_the_block_length(self, profile):
+        # ex5_3 at M = 160, N = 100 runs in one block of 64 steps and a
+        # leftover block of 36: its profile has spatial rank 2, so its
+        # forcing stacks hold 64 entries of two rows of m floats each.  A
+        # seeded random profile of full spatial rank takes pieces of one
+        # step, each the step's own forcing, so it keeps no stack, and
+        # K^2 <= N: blocks of 8 and a leftover of 4.  The bound, set for
+        # blocks of 8 by Horner, stays: each direction's LU factor and
+        # applied stage matrix, L and R, six squarings, the forcing maps and
+        # the node fields X, Y and U0, then eight m x m matrices and eight
+        # floats a step.  In place of the
+        # squarings the run now holds the powers its blocks take and the
+        # squaring being formed; besides, the mapped profile D, the stacks,
+        # the map Z, the state a chunk starts from, the state in flight and
+        # two temporaries of a block step
         m, N = 159, 100
         spec = case_ex5_3(1.2, 1.5, 1.0, 1.0).build_spec(1.0 / (m + 1))(N)
-        assert solver1d._block_steps(m, N, m) == 8
-        solve_adi(spec)  # imports and caches outside the measurement
+        K = 64
+        if profile == "full rank":
+            table = np.random.default_rng(1).standard_normal((m + 2, m + 2))
+            source = SeparableSource(lambda X, Y: table, spec.source.temporal)
+            spec, K = ProblemSpec2D(**{**spec.__dict__, "source": source}), 8
+        # imports and caches outside the measurement
+        with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
+            solve_adi(spec)
+        assert blocks.call_args.args[5] == K
+        # rows of the left stack: none where a piece is one step
+        assert len(blocks.call_args.args[9][0]) == (128 if K == 64 else 0)
         tracemalloc.start()
         try:
             solve_adi(spec)
@@ -376,6 +400,96 @@ class TestSampleRank:
             tracemalloc.stop()
         matrices = (2 + 2 + 2 + 6) * m * m + 2 * m * (m + 2) + 3 * (m + 2) ** 2
         assert peak <= 8 * (matrices + 8 * m * m + 8 * N)
+
+
+def spatial_profile(kind, seed):
+    """A source profile of spatial rank 1 (e^{-x-y}), 2 (ex5_3's, at the
+    spec's orders and rates) or full (``random``: a seeded nodal table)."""
+    if kind == "rank 1":
+        return lambda spec: lambda X, Y: np.exp(-X - Y)
+    if kind == "rank 2":
+        return lambda spec: case_ex5_3(spec.params_x.alpha, spec.params_y.alpha,
+                                       spec.params_x.lam, spec.params_y.lam).source.profile
+    return lambda spec: lambda X, Y: np.random.default_rng(seed).standard_normal(X.shape)
+
+
+class TestSpatialRank:
+    """2D blocks take their forcing from thin stacks of the profile's
+    spatial factors, L^i A and R^i B, in pieces of w steps."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(profile=st.sampled_from(["rank 1", "rank 2", "random"]),
+           kind=st.sampled_from(sorted(SAMPLE_RANKS)), omega=st.floats(1.0, 30.0),
+           alpha=ORDERS, beta=ORDERS, lam_hx=LAM_H, lam_hy=LAM_H, Mx=st.integers(4, 24),
+           My=st.integers(4, 24), N=st.integers(40, 1500), seed=st.integers(0, 2**16))
+    def test_blocks_equal_single_steps_at_every_spatial_rank(self, profile, kind, omega, alpha,
+                                                             beta, lam_hx, lam_hy, Mx, My, N,
+                                                             seed):
+        # S = 1, 2 or min(m, r), w the largest power of two with
+        # w S <= max(m, r), and K the largest power of two up to 64 with
+        # r_K K ceil(K / w) <= N; a leftover block of N mod K steps follows
+        m, r = Mx - 1, My - 1
+        S = {"rank 1": 1, "rank 2": 2, "random": min(m, r)}[profile]
+        w = solver1d._piece_steps(m, r, S)
+        K = max(k for k in (1, 2, 4, 8, 16, 32, 64)
+                if max(1, min(SAMPLE_RANKS[kind](k), N // k)) * k * -(-k // w) <= N)
+        assume(K > 1 and N % K)
+        spec = random_spec2d(alpha, beta, lam_hx, lam_hy, Mx, My, N, *polynomials(seed))
+        source = SeparableSource(spatial_profile(profile, seed)(spec),
+                                 temporal_factor(kind, omega, seed, spec.time))
+        spec = ProblemSpec2D(**{**spec.__dict__, "source": source})
+        with block_steps(1):
+            ref = solve_adi(spec).values
+        replays, spatial = [], []
+        with replays_recorded(replays, spatial):
+            got = solve_adi(spec).values
+        assert spatial == [S]
+        assert replays == [K]  # no chunk replayed
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("K", [1, None])
+    def test_a_non_finite_profile_blows_up_at_step_1(self, K):
+        # such a D is taken at full rank, A = D and B = I: the first chunk's
+        # states are not finite, and it is replayed to the first step
+        spec = random_spec2d(1.5, 1.5, 0.5, 0.5, 10, 10, 400, *polynomials(5))
+        polynomial = spec.source.profile
+
+        def profile(X, Y):
+            F = polynomial(X, Y)
+            F[4, 6] = np.nan
+            return F
+
+        spec = ProblemSpec2D(**{**spec.__dict__, "source": SeparableSource(profile, np.exp)})
+        with block_steps(K), pytest.raises(BlowupError) as err:
+            solve_adi(spec)
+        assert err.value.step == 1
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLE_RANKS))
+    def test_a_zero_profile_stays_exactly_zero(self, kind):
+        # S = 0: pieces of 64 steps, no stack rows and no forcing at all
+        spec = zero_spec2d(N=300)
+        source = SeparableSource(lambda X, Y: np.zeros_like(X),
+                                 temporal_factor(kind, 3.0, 1, spec.time))
+        replays, spatial = [], []
+        with replays_recorded(replays, spatial):
+            sol = solve_adi(ProblemSpec2D(**{**spec.__dict__, "source": source}))
+        assert spatial == [0] and len(replays) == 1
+        assert np.array_equal(sol.values, np.zeros((7, 7)))
+
+    @pytest.mark.parametrize("K", [1, None])
+    def test_a_non_finite_sample_of_a_zero_profile_blows_up_at_its_step(self, K):
+        # 0 inf is NaN on the stepwise path at step 257; the run's own path
+        # takes four blocks of 64 and a leftover of one step, which no
+        # forcing makes non-finite, so its forcing bound sends it back
+        spec = zero_spec2d(N=257)
+        tau = spec.time.tau
+        source = SeparableSource(lambda X, Y: np.zeros_like(X),
+                                 lambda t: np.where(t > 256 * tau, np.inf, np.exp(-t)))
+        replays = []
+        with replays_recorded(replays), block_steps(K), pytest.raises(BlowupError) as err:
+            solve_adi(ProblemSpec2D(**{**spec.__dict__, "source": source}))
+        assert err.value.step == 257
+        assert replays == ([] if K == 1 else [64, (256, 257)])
 
 
 def sweep_march(spec):
