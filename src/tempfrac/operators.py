@@ -64,6 +64,8 @@ class Grid1D:
     M: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):  # NaN or inf
+            raise ValueError(f"grid ends must be finite, got [{self.a}, {self.b}]")
         if self.b <= self.a:
             raise ValueError(f"need b > a, got [{self.a}, {self.b}]")
         if self.M < 4:
@@ -90,6 +92,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.T <= 0.0:
             raise ValueError(f"horizon must be > 0, got {self.T}")
+        if not math.isfinite(self.T):  # NaN or inf
+            raise ValueError(f"horizon must be finite, got {self.T}")
         if self.N < 1:
             raise ValueError(f"need at least one step, got N={self.N}")
 

@@ -49,33 +49,31 @@ One marcher then takes one of two paths:
   path, and the only one for runs too short for a dense G to pay, for the
   generator + FFT stages (whose O(m log m) step beats a product with a
   dense G) and for 2D runs with a plain-callable source;
-* block: K steps at once on an (m, r) state, U <- L^K U (R^K)^T plus the
-  sum over the block's steps j of L^j D(g_j) (R^j)^T, D(g_j) the forcing
-  of one step whose temporal samples are g_j.  A vector state is the case
-  r = 1, R = [[1]], L = G, and takes that sum as one product of the
-  samples with a forcing stack of the terms L^j D_t.  A matrix state (2D)
-  factors each term's forcing once, D_t = A_t B_t^T by a thin SVD (rank 2
-  for ex5_3), and holds thin stacks of L^i A and R^i B for the first w
-  steps of a block, w S <= max(m, r) with S the summed spatial rank: the
-  samples of all blocks span a space of some rank r_K (1 for e^{-t}), a
-  block's forcing is a combination of r_K matrices, each one product of
-  the stacks' heads a piece of w steps, the pieces joined by Horner
-  through L^w and R^w, the leftover block's from the heads of the same
-  stacks, and the march holds one state at a time.  A 1D run with a
-  stored history or a plain-callable source marches in blocks of one
-  step, U <- G U + d_n: a plain source is called once per group with an
-  array of times where it broadcasts, else once per step, and the fields
-  of a group of steps reach their d_n through one product with the
-  forcing map step(0, stencil(I)), formed like G, and only once some
-  field is not all zero.  The d_n are written straight into the rows of
-  the history, which are then filled in place in groups of K steps: the
-  group ends one after another through G^K, and everything else in
-  products of all the groups at once with G^T, so that the chain of
-  dependent products is N / K long instead of N.  Blocks and groups take
-  one length K, the largest power of two up to 64 with
-  r_K K ceil(K / w) <= N, r_K = w = 1 for a vector state (see
-  _block_steps), and one loop serves both: the units go in chunks, K a
-  chunk, its states checked once.
+* block: the step compiled once, K steps at once on an (m, r) state.  The
+  marcher (_march_blocks) takes the compiled step as arrays: the factors,
+  (G,) for a vector state, G = step(I, 0), and (L, R) for a matrix state;
+  the forcing D, one row D_t = step(0, vectors of term t) per
+  scalar-times-vector term of a vector state and the one term's (m, r)
+  matrix of a matrix state; the temporal samples; K; and for a matrix
+  state the stacks of D's spatial factors (_spatial_factors).  A block is
+  U <- L^K U (R^K)^T plus the sum over its steps j of g_j L^j D (R^j)^T,
+  g_j the samples of its steps: for a vector state (r = 1, L = G) one
+  product of the samples with a forcing stack of the terms L^j D_t; for a
+  matrix state (2D) a combination of r_K matrices formed from thin stacks
+  of L^i A and R^i B, D = A B^T by a thin SVD (rank 2 for ex5_3), r_K the
+  rank of the samples of all blocks (1 for e^{-t}), with one state held at
+  a time.  A 1D run with a stored history or a plain-callable source
+  marches in blocks of one step, U <- G U + d_n: a plain source is called
+  once per group with an array of times where it broadcasts, else once
+  per step, and the fields of a group of steps reach their d_n through one
+  product with the forcing map step(0, stencil(I)), formed like G, and
+  only once some field is not all zero.  The d_n are written straight into
+  the rows of the history, which are then filled in place in groups of K
+  steps: the group ends one after another through G^K, and everything
+  else in products of all the groups at once with G^T, so that the chain
+  of dependent products is N / K long instead of N.  Blocks and groups
+  take one length K, chosen by one rule (_block_steps), and one loop
+  serves both: the units go in chunks, K a chunk, its states checked once.
 
 The block and group paths agree with the stepwise one to round-off: to
 1e-12 relative to the run's peak, and to 1e-12 per stored row for runs of
@@ -295,12 +293,11 @@ def _source_term(source, space, shift, stencil):
                  stencil=stencil, batch=lambda times: source(*space, times.reshape(column)))
 
 
-def _block_steps(m, N, r=1, rank=None, spatial=None):
+def _block_steps(m, N, r=1, w=1, samples=None):
     """The block length K of a run of N steps on an (m, r) state; 1 selects
-    the stepwise path.  ``rank(k)`` and ``spatial()``, given for a matrix
-    state, are the rank of the temporal samples of the run's blocks of k
-    steps (see _sample_basis) and the spatial rank S of its forcing (see
-    _spatial_factors); they are asked only where blocks may pay.
+    the stepwise path.  A matrix state gives the piece length w of its
+    forcing (see _spatial_factors) and its temporal ``samples``, one row a
+    step; the rank of the samples is taken only where blocks may pay.
 
     Forming the factors L, R and their powers costs about 32 (m^3 + r^3)
     flops.  Each compiled step saves the per-step overhead (some 40 us) and
@@ -312,26 +309,27 @@ def _block_steps(m, N, r=1, rank=None, spatial=None):
     breaks even with the stepwise one between 8 and 32 steps there.
 
     Where it pays, K is the largest power of two up to _BLOCK with
-    r_K K ceil(K / w) <= N: r_K the sample rank at K for a matrix state (at
-    least 1) and 1 for a vector state, w the piece length of the forcing
-    (see _piece_steps) for a matrix state and 1 for a vector state.
-    Setting up blocks costs about r_K ceil(K / w) products against the
-    N / K dependent ones of the march: a matrix state's block forcing takes,
-    for each of r_K basis vectors, one product of its stacks' heads a piece
-    of w steps and a pair of products joining the pieces (see
-    _block_forcing), a vector state's forcing stack K products at any rank.
-    A temporal factor such as e^{-t}, whose samples over a block are one
-    vector times a scalar, has rank 1; a rough one has full rank r_K = K.
-    So at w = 1 (a forcing of full spatial rank) K^2 <= N for e^{-t} and
-    K^3 <= N for a rough factor, and where w >= K (ex5_3, of spatial rank
-    2, from 159 unknowns a direction) K <= N for e^{-t}.
+    r_K K ceil(K / w) <= N: r_K the rank of the samples of the run's blocks
+    of K steps (see _sample_basis) for a matrix state and 1 for a vector
+    state, whose w is 1.  Setting up blocks costs about r_K ceil(K / w)
+    products against the N / K dependent ones of the march: a matrix
+    state's block forcing takes, for each of r_K basis vectors, one product
+    of its stacks' heads a piece of w steps and a pair of products joining
+    the pieces (see _block_forcing), a vector state's forcing stack K
+    products at any rank.  A temporal factor such as e^{-t}, whose samples
+    over a block are one vector times a scalar, has rank 1; a rough one has
+    full rank r_K = K.  So at w = 1 (a forcing of full spatial rank)
+    K^2 <= N for e^{-t} and K^3 <= N for a rough factor, and where w >= K
+    (ex5_3, of spatial rank 2, from 159 unknowns a direction) K <= N for
+    e^{-t}.  At w = _BLOCK and without samples K is the longest block any
+    forcing allows, 1 only where blocks cannot pay or N = 1.
     """
     saved = m * m if r == 1 else m * r * (m + r)
     if N * (4e4 + saved) < 16.0 * (m**3 + r**3):
         return 1
-    w = 1 if spatial is None else _piece_steps(m, r, spatial())
     K = _BLOCK
-    while K > 1 and (K * -(-K // w) > N or rank is not None and rank(K) * K * -(-K // w) > N):
+    while K > 1 and (K * -(-K // w) > N or samples is not None and len(
+            _sample_basis(samples[:N // K * K].reshape(N // K, -1))[0]) * K * -(-K // w) > N):
         K //= 2
     return K
 
@@ -354,22 +352,24 @@ def _march(step, stages, U, time, terms, history=None, factors=None, toeplitz_st
     ``step`` is linear in (U, forcing), where the forcing is a list with one
     entry per stage (``stages`` of them); the forcing of each stage is the
     sum of ``terms`` at step n.  The state is an (m, r) matrix U and a step
-    is U <- L U R^T + f_n with constant factors ``factors() = (L, R)`` and
-    one stage, f_n its forcing; a vector U is the case r = 1, whose factors
-    default to L = step(I, 0) (``step`` must then map a matrix column by
-    column) and R = [[1]], and whose step may take several stages.  Row n
-    of ``history``, an (N + 1, m) array when given, receives the state
-    after n steps.
+    is U <- L U R^T + f_n with constant ``factors`` = (L, R) and one stage,
+    f_n the forcing of its one scalar-times-vector term or of its general
+    ones; a vector U is the case r = 1, whose step may take several stages
+    and must map a matrix column by column.  Row n of ``history``, an
+    (N + 1, m) array when given, receives the state after n steps.
 
-    Where _block_steps gives a block length K > 1 (for a matrix state,
-    priced by the rank of the temporal samples and the spatial rank of the
-    forcing), a run whose terms are all scalar-times-vector marches in
-    blocks of K steps, and a vector state with a general term or a history
-    in blocks of one step on L = G, in groups of K (see _march_blocks).
-    ``toeplitz_stages`` marks steps served through their Toeplitz structure
-    (see _toeplitz_map): their O(m log m) solves beat any dense G, so those
-    runs always take the stages.  A matrix state with a general term steps
-    on ``step`` itself, which in 2D is the compiled L U R^T + f.
+    Where _block_steps gives a block length K > 1, the step is compiled
+    once and _march_blocks marches on it: a vector state on G = step(I, 0)
+    and the forcing rows D_t = step(0, vectors of term t), a matrix state
+    on (L, R) and its term's vector D, factored into its forcing stacks
+    (see _spatial_factors) before K is priced.  A run whose terms are all
+    scalar-times-vector marches in blocks of K steps, and a vector state
+    with a general term or a history in blocks of one step, in groups of
+    K.  ``toeplitz_stages`` marks steps served through their Toeplitz
+    structure (see _toeplitz_map): their O(m log m) solves beat any dense
+    G, so those runs always take the stages.  A matrix state with a
+    general term steps on ``step`` itself, which in 2D is the compiled
+    L U R^T + f.
     """
     N, tau = time.N, time.tau
     scalar = [term for term in terms if term.vectors is not None]
@@ -401,22 +401,21 @@ def _march(step, stages, U, time, terms, history=None, factors=None, toeplitz_st
 
     m, r = U.reshape(len(U), -1).shape
     vector = U.ndim == 1
-    rank = spatial = forcing_stacks = None
-    if not vector:  # K is priced by the rank of the samples and of the forcing
-        def rank(k):  # of the samples of the run's blocks of k steps
-            return len(_sample_basis(samples[:N // k * k].reshape(N // k, -1))[0])
-
-        # the step is L U R^T + f: term t's forcing is its own vector
-        forcing_stacks = functools.cache(lambda: _spatial_factors(per_stage[0], m, r))
-        spatial = lambda: len(forcing_stacks()[2])
-    if toeplitz_stages or general and not vector:
-        K = 1
-    else:
-        K = _block_steps(m, N, r, rank, spatial)
+    # for a matrix state first the longest block any forcing allows: no SVD
+    # is taken below the break-even gate
+    K = 1 if toeplitz_stages or general and not vector else _block_steps(
+        m, N, r, 1 if vector else _BLOCK)
+    stacks = None
+    if K > 1 and not vector:  # the step is L U R^T + f: the term's forcing is its own vector
+        (D,) = per_stage[0]
+        stacks = _spatial_factors(D)
+        K = _block_steps(m, N, r, stacks[2], samples)
     if K == 1:
         return stepwise(U, 0, N)
-    if factors is None:
-        factors = lambda: (step(np.eye(m), [0.0] * stages), np.ones((1, 1)))
+    if vector:  # a vector step maps a matrix column by column: one call for all terms
+        factors = (step(np.eye(m), [0.0] * stages),)
+        D = step(np.zeros((m, len(scalar))), [np.column_stack(v) for v in per_stage]).T \
+            if scalar else np.empty((0, m))
 
     @functools.cache
     def forcing_map(term):
@@ -437,8 +436,9 @@ def _march(step, stages, U, time, terms, history=None, factors=None, toeplitz_st
                 forced = True
         return forced
 
-    return _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history,
-                         general_forcing if general else None, None if vector else forcing_stacks())
+    return _march_blocks(U, factors=factors, D=D, samples=samples, K=K, stepwise=stepwise,
+                         history=history, general=general_forcing if general else None,
+                         stacks=stacks)
 
 
 def _sample(terms, N, tau):
@@ -491,53 +491,54 @@ def _sample_run(fn, first, count, tau, batch=None):
     return np.array([fn((j + first) * tau) for j in range(count)], dtype=float)
 
 
-def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, general,
-                  forcing_stacks=None):
+def _march_blocks(U, *, factors, D, samples, K, stepwise, history=None, general=None,
+                  stacks=None):
     """Units of K steps, then one unit of the N mod K steps left over, all
     by one loop; ``stepwise`` is the reference it falls back on.
 
-    With (L, R) = factors() a step maps the (m, r) state U to
-    L U R^T + sum_t c_t D_t and a unit of k steps maps it to
-    L^k U (R^k)^T plus the unit's forcing.  For a vector state (r = 1,
-    R = [[1]]) D_t = step(0, vectors of term t); for a matrix state, whose
-    step has one stage, D_t is term t's own vector, and ``forcing_stacks``
-    holds its stacks (see _spatial_factors).  A vector state that records
-    every state (a stored ``history``) or has general terms
+    The step is compiled: ``factors`` is (G,) for a vector state and (L, R)
+    for an (m, r) matrix state, whose step maps U to L U R^T + sum_t c_t D_t
+    (for a vector, R = [[1]] and L = G), with c_t = ``samples[n, t]`` and
+    D_t row t of ``D`` for a vector state; a matrix state has one term, D
+    an (m, r) matrix, and ``stacks`` = (XL, XR, w) its forcing stacks and
+    their piece length (see _spatial_factors).  A unit of k steps maps the
+    state to L^k U (R^k)^T plus the unit's forcing.  A vector state that
+    records every state (a stored ``history``) or has general terms
     (``general(start, stop, rows)`` adds their forcing to the rows of those
     steps and says whether it added any) takes groups of one-step blocks
     for units: one row a step, holding d_n = sum_t samples[n, t] D_t.  Any
     other run takes blocks of steps, whose forcing is the sum over its
-    steps i and terms t of samples[n + i, t] L^(k-1-i) D_t (R^(k-1-i))^T:
-    for a vector state the product of the block's samples g, last step
-    first, with the head of the forcing stack, whose row i T + t holds
-    L^i D_t; for a matrix state sum_j (g V^T)_j Z_j, with V an orthonormal
-    basis of the row space of the samples of all blocks of that length
-    (see _sample_basis) and Z_j = sum_i V[j, i] L^i D (R^i)^T formed from
-    the heads of the stacks of L^i A_t and R^i B_t, D_t = A_t B_t^T, in
-    pieces of w steps (see _block_forcing): both block lengths use the
-    same stacks.
+    steps i of samples[n + i] L^(k-1-i) D (R^(k-1-i))^T: for a vector state
+    the product of the block's samples g, last step first, with the head of
+    the forcing stack, whose row i T + t holds L^i D_t; for a matrix state
+    sum_j (g V^T)_j Z_j, with V an orthonormal basis of the row space of the
+    samples of all blocks of that length (see _sample_basis) and
+    Z_j = sum_i V[j, i] L^i D (R^i)^T formed from the heads of the stacks of
+    L^i A and R^i B, D = A B^T, in pieces of w steps (see _block_forcing):
+    both block lengths use the same stacks.
 
     The stacks are filled by doubling, the first 2^i entries through
     L^(2^i) (R^(2^i)) giving the next 2^i, one product each, as the
-    squarings are formed one after another.  A squaring is held only while
-    it is still needed: L^K and R^K, the product of those at the bits of
-    N mod K, and L^w, R^w where the pieces are shorter than a block.
+    squarings of the factors are formed one after another.  A squaring is
+    held only while it is still needed: L^K and R^K, the product of those
+    at the bits of N mod K, and L^w, R^w where the pieces are shorter than
+    a block.
 
     The units go a chunk at a time, K of them (fewer only where fewer are
     left).  A matrix state's chunk holds one state at a time besides the
     state it starts from: each block is U <- L^k U (R^k)^T + its forcing.
     A vector state's chunk is filled in rows of ``history`` or of one
-    scratch buffer, K^2 <= N rows of m floats at most, no more than a
-    history would hold.  The rows receive the chunk's forcing in one
+    scratch buffer, K^2 rows of m floats at most, no more than a history
+    would hold (K^2 <= N for a vector state, see _block_steps).  The rows receive the chunk's forcing in one
     product, none where its samples are all zero, and a general term's one
     group at a time, its fields stacked for that group's steps alone; then
     _fill_groups fills them with the states, the unit ends following one
-    another through L^k.
+    another through G^k.
 
-    With gamma, the product of the infinity norms of the squarings of L and
-    R, bounding the growth of any j <= K steps, a chunk is accepted only
-    when every state it holds is finite and within _BLOCK_LIMIT and so is
-    gamma (|state before a unit| + the sup-norm bound of the forcing in
+    With gamma, the product of the infinity norms of the squarings of the
+    factors, bounding the growth of any j <= K steps, a chunk is accepted
+    only when every state it holds is finite and within _BLOCK_LIMIT and so
+    is gamma (|state before a unit| + the sup-norm bound of the forcing in
     it): no step inside a block, and no part a group's rows are summed
     from, can then have come near the limit.  A one-step unit is its own
     only state, accepted on its row alone, and for a matrix state on a
@@ -551,49 +552,46 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
     """
     N, T = samples.shape
     vector = U.ndim == 1
-    L, R = factors()
-    m, r = len(L), len(R)
+    m = len(factors[0])
     grouped = history is not None or general is not None
-    if vector:  # a vector step maps a matrix column by column: one call for all terms
-        D = step(np.zeros((m, T)), [np.column_stack(v) for v in per_stage]).T if T else \
-            np.empty((0, m))
+    # the stacks hold w entries of ``height`` rows: a block's forcing or a
+    # piece of it, one step for a group's rows
+    if vector:
         sizes = np.abs(D).max(axis=1)
-        height, entries = T, 1 if grouped else K
-        stacks = (np.empty((entries * T, m)),)
+        height, w = T, 1 if grouped else K
+        stacks = (np.empty((w * T, m)),)
         stacks[0][:T] = D
-        w = K
-    else:
-        *stacks, columns = forcing_stacks
-        sizes = np.array([np.abs(d).max() for d in per_stage[0]])
-        height = len(columns)
-        w = entries = min(_piece_steps(m, r, height), K)
+    else:  # S rows an entry, none at w = 1, where a piece is one step's forcing
+        XL, XR, w = stacks
+        sizes = np.array([np.abs(D).max()])
+        height, w = len(XL) // w, min(w, K)
+        stacks = XL[:w * height], XR[:w * height]
     # sup-norm bound of each step's forcing, summed per unit below
     forcing_bound = np.abs(samples) @ sizes
 
-    # The squarings L^(2^i), R^(2^i) for every bit of K, formed one pair at
-    # a time and kept only in power[k] = (L^k, R^k) for the unit lengths k
-    # and the piece length w.  Since
+    # The squarings of the factors for every bit of K, formed one at a time
+    # and kept only in power[k], the k-th powers of the factors for the unit
+    # lengths k and the piece length w.  Since
     # ||L V R^T||_max <= ||L||_inf ||V||_max ||R||_inf, the product of their
-    # norms (at least 1 each) bounds the growth of any j <= K steps; a
-    # vector state's R is [[1]], every power of norm 1, so only L's count.
-    # An unstable step may overflow them: gamma is then inf or NaN, and
-    # every chunk is replayed.
+    # norms (at least 1 each) bounds the growth of any j <= K steps.  An
+    # unstable step may overflow them: gamma is then inf or NaN, and every
+    # chunk is replayed.
     power = {k: None for k in (K, N % K, w) if k}
     norms = []
-    Lp, Rp = L, R
+    squarings = factors
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(K.bit_length()):
             if i:
-                Lp, Rp = Lp @ Lp, Rp @ Rp
-            norms += [np.abs(P).sum(axis=1).max() for P in ((Lp,) if vector else (Lp, Rp))]
+                squarings = [P @ P for P in squarings]
+            norms += [np.abs(P).sum(axis=1).max() for P in squarings]
             done = 1 << i  # entries of the stacks filled
-            if done < entries:
-                c = min(done, entries - done) * height
-                for X, P in zip(stacks, (Lp, Rp)):
+            if done < w:
+                c = min(done, w - done) * height
+                for X, P in zip(stacks, squarings):
                     np.matmul(X[:c], P.T, out=X[done * height:done * height + c])
             for k, Pk in power.items():
                 if k >> i & 1:
-                    power[k] = (Lp, Rp) if Pk is None else (Lp @ Pk[0], Rp @ Pk[1])
+                    power[k] = squarings if Pk is None else [P @ Q for P, Q in zip(squarings, Pk)]
     # Python floats overflow to inf silently; np.maximum keeps a NaN
     gamma = math.prod(np.maximum(1.0, norms).tolist())
 
@@ -604,15 +602,13 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
         if not units:
             continue
         k, q = (1, length) if grouped else (length, 1)
-        Lk, Rk = power[length]
         bounds = forcing_bound[n:n + units * length].reshape(units, length).sum(axis=1)
         # one row of samples a row of the chunk, a block's last step first
         g = samples[n:n + units * length].reshape(units * q, k, T)[:, ::-1].reshape(units * q, k * T)
-        if not vector:  # the blocks' forcing in the row space of their samples, none at S = 0
-            V, coordinates = (_sample_basis(g) if height
-                              else (np.empty((0, k * T)), np.empty((len(g), 0))))
-            Z = _block_forcing(stacks, columns, per_stage[0], V.reshape(len(V), k, T), w,
-                               power[w])
+        if not vector:  # the blocks' forcing in the row space of their samples, none for D = 0
+            V, coordinates = (_sample_basis(g) if sizes.any()
+                              else (np.empty((0, k)), np.empty((len(g), 0))))
+            Z = _block_forcing(stacks, D, V, w, power[w])
         elif history is None:  # the rows of a chunk of K units
             scratch = np.empty((min(units, K) * q, m))
         for first in range(0, units, K):
@@ -633,13 +629,13 @@ def _march_blocks(step, U, samples, per_stage, factors, K, stepwise, history, ge
             with np.errstate(over="ignore", invalid="ignore"):
                 pushed = bounds[first:last]  # the forcing bound of each unit
                 if not vector:
-                    previous, ends = _march_states(U, Lk, Rk, Z, coordinates[first:last])
+                    previous, ends = _march_states(U, *power[length], Z, coordinates[first:last])
                     # False for inf or NaN
                     accepted = (ends <= _BLOCK_LIMIT).all() and np.isfinite(pushed).all()
                 else:
                     if grouped and forced:  # general terms too, before the fill, without |rows|
                         pushed = np.maximum(groups.max(axis=2), -groups.min(axis=2)).sum(axis=1)
-                    previous = _fill_groups(groups, U, L, Lk, forced)
+                    previous = _fill_groups(groups, U, factors[0], power[length][0], forced)
                     ends = np.abs(groups[:, -1]).max(axis=1)
                     accepted = (ends <= _BLOCK_LIMIT).all()
                     if q > 1:  # the rows inside the groups, without holding their |.|
@@ -677,68 +673,61 @@ def _sample_basis(g):
     return V, g @ V.T
 
 
-def _spatial_factors(D, m, r):
-    """The forcing stacks of a matrix state whose terms force D_t, (m, r)
-    matrices: (XL, XR, columns).
+def _spatial_factors(D):
+    """The forcing stacks of a matrix state whose step is forced by the
+    (m, r) matrix D, and their piece length: (XL, XR, w).
 
-    Each D_t is factored as A_t B_t^T by a thin SVD, its rank the count of
-    singular values above eps max(m, r) times the largest (none for a zero
-    D_t); a D_t that is not all finite is taken at full rank, A_t = D_t and
-    B_t = I, so that the blocks it forces are not finite either and are
-    replayed stepwise.  With A = [A_1 ... A_T] and B likewise, of S
-    columns, the stacks hold L^i A and R^i B for i < w (see _piece_steps),
-    transposed: rows i S + c, ``columns[c]`` the term of column c.  Only
+    D is factored as A B^T by a thin SVD, its spatial rank S the count of
+    singular values above eps max(m, r) times the largest (0 for a zero D);
+    a D that is not all finite is taken at full rank, A = D and B = I, so
+    that the blocks it forces are not finite either and are replayed
+    stepwise.  w is the piece length of rank S (see _piece_steps).  The
+    stacks hold L^i A and R^i B for i < w, transposed: rows i S + c.  Only
     the heads, A^T and B^T, are written here; _march_blocks fills the rest
     by doubling.  At w = 1 the stacks are empty: a piece of one step is
-    that step's forcing, sum_t v_t D_t, which takes no product (see
+    that step's forcing, a multiple of D, which takes no product (see
     _block_forcing).
     """
-    heads = []  # (A_t^T, B_t^T)
-    for d in D:
-        if not np.isfinite(d).all():
-            heads.append((d.T, np.eye(r)))
-            continue
-        U, s, Vt = np.linalg.svd(d, full_matrices=False)
-        rank = np.count_nonzero(s > np.finfo(float).eps * max(m, r) * s[:1])
-        heads.append((s[:rank, None] * U[:, :rank].T, Vt[:rank]))
-    columns = np.repeat(np.arange(len(D)), [len(B) for _, B in heads])
-    w = _piece_steps(m, r, len(columns))
+    m, r = D.shape
+    if np.isfinite(D).all():
+        U, s, Vt = np.linalg.svd(D, full_matrices=False)
+        S = np.count_nonzero(s > np.finfo(float).eps * max(m, r) * s[:1])
+        At, Bt = s[:S, None] * U[:, :S].T, Vt[:S]
+    else:
+        At, Bt = D.T, np.eye(r)
+    w = _piece_steps(m, r, len(Bt))
     if w == 1:
-        return np.empty((0, m)), np.empty((0, r)), columns
-    XL, XR = np.empty((w * len(columns), m)), np.empty((w * len(columns), r))
-    c = 0
-    for A, B in heads:
-        XL[c:c + len(B)], XR[c:c + len(B)] = A, B
-        c += len(B)
-    return XL, XR, columns
+        return np.empty((0, m)), np.empty((0, r)), w
+    XL, XR = np.empty((w * len(Bt), m)), np.empty((w * len(Bt), r))
+    XL[:len(Bt)], XR[:len(Bt)] = At, Bt
+    return XL, XR, w
 
 
-def _block_forcing(stacks, columns, D, V, w, power):
-    """Z_j = sum_i L^i D(V[j, i]) (R^i)^T for each j, where D(v) =
-    sum_t v_t D_t is the forcing of one step whose samples are v, from the
-    ``stacks`` (see _spatial_factors) of a matrix state.
+def _block_forcing(stacks, D, V, w, power):
+    """Z_j = sum_i V[j, i] L^i D (R^i)^T for each j, from the ``stacks``
+    (XL, XR) of a matrix state forced by D (see _spatial_factors), their w
+    entries of S rows each.
 
     The k steps of the block go in pieces of w.  The piece from step p on
-    is L^p P (R^p)^T, with P = sum_i sum_t V[j, p + i, t] (L^i A_t)(R^i B_t)^T
-    one product of the stacks' heads: (XL^T scaled by V's row) XR; for
-    w = 1, P = D(V[j, p]) takes no product.  The pieces are joined by
-    Horner through (L^w, R^w) = ``power``, a pair of products each; a block
-    of at most w steps takes one piece and no Horner.  Returns the Z_j
+    is L^p P (R^p)^T, with P = sum_i V[j, p + i] (L^i A)(R^i B)^T one
+    product of the stacks' heads: (XL^T scaled by V's row) XR; for w = 1,
+    P = V[j, p] D takes no product.  The pieces are joined by Horner
+    through (L^w, R^w) = ``power``, a pair of products each; a block of at
+    most w steps takes one piece and no Horner.  Returns the Z_j
     flattened, one a row.
     """
-    rank, k, _ = V.shape
+    rank, k = V.shape
     (XL, XR), (Lw, Rw) = stacks, power
-    m, r = XL.shape[1], XR.shape[1]
-    Z = np.empty((rank, m, r))
+    Z = np.empty((rank,) + D.shape)
     for j, v in enumerate(V):
         for p in range((k - 1) // w * w, -1, -w):  # the pieces, the last first
             if w == 1:
-                piece = sum(c * d for c, d in zip(v[p], D) if c)
+                piece = v[p] * D if v[p] else 0.0
             else:
-                scale = v[p:p + w, columns].reshape(-1, 1)
+                scale = np.repeat(v[p:p + w], len(XL) // w)[:, None]
                 piece = (scale * XL[:len(scale)]).T @ XR[:len(scale)]
             Z[j] = piece if p + w >= k else Lw @ Z[j] @ Rw.T + piece
-    return Z.reshape(rank, m * r)
+    return Z.reshape(rank, D.size)
 
 
 def _march_states(U, Lk, Rk, Z, coordinates):

@@ -28,26 +28,17 @@ All four are formed once per run, so a step solves no system: it is two
 products with U, plus two with the source field for a plain-callable
 source, none for a :class:`~tempfrac.solver1d.SeparableSource`, whose
 profile is mapped once.
-The marcher of :mod:`tempfrac.solver1d` takes the step in blocks of steps,
-U <- L^K U (R^K)^T + sum_j g_j L^j D (R^j)^T with D = Fx (profile) Fy^T
-and g_j the temporal samples of the block's steps, last step first.  It
-factors D = A B^T once by a thin SVD, of spatial rank S (2 for ex5_3),
-and forms no full stack of the terms L^j D (R^j)^T, only the thin stacks
-L^j A and R^j B for the first w steps, w the largest power of two with
-w S <= max(m, r).  The samples of all blocks of a length span r_K basis
-vectors V_i (one for e^{-t}), and a block's forcing combines the r_K
-matrices sum_j V_i[j] L^j D (R^j)^T, each one product of the stacks'
-heads a piece of w steps, the pieces joined by Horner through L^w and
-R^w; where w >= K (ex5_3 from M = 160 on) a block is one piece.  The
-march holds one state at a time, so a run holds its stage matrices, L,
-R, a few of their powers, Fx, Fy, the node fields, the stacks (at most
-max(m, r) rows each) and a few m x m matrices besides, whatever the
-block length K (r_K K ceil(K / w) <= N, see
-:func:`~tempfrac.solver1d._block_steps`).
-A run with a plain-callable source, a run too short for blocks to pay, and
-any chunk of blocks whose growth bound comes near the blowup limit take it
-one step at a time.  The stages are built and the march runs
-on one BLAS thread (see :mod:`tempfrac._blas`).
+The run hands the marcher of :mod:`tempfrac.solver1d` the compiled step:
+the factors (L, R) and one forcing term, D = Fx (profile) Fy^T times the
+temporal factor for a separable source, or Fx F(t) Fy^T for a plain
+callable.  How the march takes it, in blocks of K steps with one state in
+flight, and how K is chosen are stated once, in
+:func:`~tempfrac.solver1d._march_blocks` and
+:func:`~tempfrac.solver1d._block_steps`.  A run with a plain-callable
+source, a run too short for blocks to pay, and any chunk of blocks whose
+growth bound comes near the blowup limit take it one step at a time.  The
+stages are built and the march runs on one BLAS thread (see
+:mod:`tempfrac._blas`).
 """
 
 from __future__ import annotations
@@ -134,7 +125,7 @@ def _adi_march(spec, stage_x, stage_y, surface=None):
     X, Y, U0 = surface or _initial_surface(spec)
     return _march(lambda U, f: L @ U @ R.T + f[0], 1, U0[1:-1, 1:-1], spec.time,
                   (_source_term(spec.source, (X, Y), 0.5, lambda F: (Fx @ F @ Fy.T,)),),
-                  factors=lambda: (L, R))
+                  factors=(L, R))
 
 
 def solve_adi(spec):

@@ -36,6 +36,16 @@ class TestGrids:
             TimeGrid(1.0, 0)
         assert TimeGrid(0.1, 100).tau == pytest.approx(1e-3)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grids_are_rejected(self, value):
+        # a NaN horizon would otherwise reach the solvers as tau = NaN and
+        # fail deep inside SciPy
+        with pytest.raises(ValueError, match="horizon must be"):
+            TimeGrid(value, 10)
+        for a, b in ((value, 1.0), (0.0, value), (value, value)):
+            with pytest.raises(ValueError, match="grid ends must be finite"):
+                Grid1D(a, b, 10)
+
 
 class TestCompactMatrix:
     def test_untempered_bands_are_symmetric(self):

@@ -260,7 +260,7 @@ class TestTemporalOrder:
 @contextlib.contextmanager
 def block_steps(K):
     """March in blocks of K steps (1: stepwise) whatever the size of the run."""
-    with mock.patch.object(solver1d, "_block_steps", lambda m, N, r=1, rank=None, spatial=None: K):
+    with mock.patch.object(solver1d, "_block_steps", lambda *args, **kwargs: K):
         yield
 
 
@@ -284,6 +284,19 @@ def manufactured_spec(side, alpha, M, N):
         "two_sided": lambda: case_ex5_4(alpha, 0.1),
     }[side]()
     return case.build_spec(1.0 / M)(N)
+
+
+# the rank at K of the samples of a run's blocks of K steps, where the run has
+# more such blocks than K
+RANKS = {"zero": lambda K: 0, "exp": lambda K: 1, "cos": lambda K: 2, "rough": lambda K: K}
+
+
+def rank_samples(kind, N):
+    """The samples, one row a step, of a temporal factor whose blocks have
+    the rank RANKS[kind]: zero, e^{-t}, cos(20 t) or a seeded table."""
+    t = (np.arange(N) + 0.5) / N
+    return {"zero": np.zeros(N), "exp": np.exp(-t), "cos": np.cos(20.0 * t),
+            "rough": np.random.default_rng(1).standard_normal(N)}[kind][:, None]
 
 
 class TestBlockMarching:
@@ -371,7 +384,7 @@ class TestBlockMarching:
         # the stepwise path; in a matrix state the jump sits in R
         jump = np.array([[0.0, 1e31], [0.0, 0.0]])
         if matrix_state:
-            U0, factors = np.array([[0.0, 1.0], [0.0, 0.0]]), lambda: (np.eye(2), jump)
+            U0, factors = np.array([[0.0, 1.0], [0.0, 0.0]]), (np.eye(2), jump)
             step = lambda U, f: U @ jump.T + f[0]
         else:
             U0, factors = np.array([0.0, 1.0]), None
@@ -400,24 +413,29 @@ class TestBlockMarching:
         fits = [k for k in (1, 2, 4, 8, 16, 32, 64) if k * k <= N]
         assert solver1d._block_steps(m, N, r) == max(fits) == K
 
-    @pytest.mark.parametrize("rank,S,K", [
-        (lambda k: 0, 319, 64),  # no forcing: K^2 <= N
-        (lambda k: 1, 319, 64),  # e^{-t}: K^2 <= N
-        (lambda k: 2, 319, 32),  # cos(w t): 2 K^2 <= N
-        (lambda k: k, 319, 16),  # rough samples at full rank: K^3 <= N
-        (lambda k: 2, 80, 64),  # pieces of w = 2 steps: 2 K ceil(K / 2) <= N
-        (lambda k: k, 80, 16),  # K^2 ceil(K / 2) <= N
-        (lambda k: 2, 2, 64),  # ex5_3's profile, pieces of w = 64: 2 K <= N
-        (lambda k: k, 2, 64),  # K^2 <= N
+    @pytest.mark.parametrize("kind,w,K", [
+        ("zero", 1, 64),  # no forcing: K^2 <= N
+        ("exp", 1, 64),  # e^{-t}, rank 1: K^2 <= N
+        ("cos", 1, 32),  # cos(w t), rank 2: 2 K^2 <= N
+        ("rough", 1, 16),  # rough samples at full rank: K^3 <= N
+        ("cos", 2, 64),  # pieces of w = 2 steps (S = 80): 2 K ceil(K / 2) <= N
+        ("rough", 2, 16),  # K^2 ceil(K / 2) <= N
+        ("cos", 64, 64),  # ex5_3's profile (S = 2), pieces of w = 64: 2 K <= N
+        ("rough", 64, 64),  # K^2 <= N
     ], ids=["zero", "rank 1", "rank 2", "full rank", "rank 2, w = 2", "full rank, w = 2",
             "rank 2, w = 64", "full rank, w = 64"])
-    def test_block_length_is_priced_by_the_sample_rank(self, rank, S, K):
+    def test_block_length_is_priced_by_the_sample_rank(self, kind, w, K):
         # a matrix state's forcing takes, for each of r_K basis vectors, one
         # product a piece of w steps and a pair of Horner products joining
         # the pieces, so r_K K ceil(K / w) <= N, w the largest power of two
         # with w S <= max(m, r); at M = 320 and tau = h^1.5, where a forcing
-        # of full spatial rank (S = m) takes pieces of one step
-        assert solver1d._block_steps(319, 5724, 319, rank, lambda: S) == K
+        # of full spatial rank (S = m) takes pieces of one step.  The samples
+        # of the run's blocks of K steps have rank 0, 1, 2 and K
+        N = 5724
+        samples = rank_samples(kind, N)
+        assert [len(solver1d._sample_basis(samples[:N // k * k].reshape(N // k, k))[0])
+                for k in (16, 32, 64)] == [RANKS[kind](k) for k in (16, 32, 64)]
+        assert solver1d._block_steps(319, N, 319, w, samples) == K
 
     @pytest.mark.parametrize("m,r,S,w", [
         (159, 159, 2, 64),  # ex5_3 at M = 160: 128 rows a stack
@@ -432,18 +450,29 @@ class TestBlockMarching:
     def test_piece_length_is_the_largest_power_of_two_that_fits(self, m, r, S, w):
         assert solver1d._piece_steps(m, r, S) == w
 
-    @pytest.mark.parametrize("m,N,K", [
-        (9, 32, 8),  # the converge levels of ex5_3 at tau = h^1.5, M = 10 to 80
-        (19, 90, 16),
-        (39, 253, 32),
-        (79, 716, 64),
-        (119, 100, 32),  # the direct solves at M = 120 and 160
-        (159, 100, 64),
+    @pytest.mark.parametrize("m,N,w,K", [
+        (9, 32, 4, 8),  # the converge levels of ex5_3 at tau = h^1.5, M = 10 to 80
+        (19, 90, 8, 16),
+        (39, 253, 16, 32),
+        (79, 716, 32, 64),
+        (119, 100, 32, 32),  # the direct solves at M = 120 and 160
+        (159, 100, 64, 64),
     ])
-    def test_2d_study_takes_long_blocks(self, m, N, K):
+    def test_2d_study_takes_long_blocks(self, m, N, w, K):
         # ex5_3's e^{-t} (r_K = 1) on its profile of spatial rank 2: pieces
         # of 4, 8, 16, 32, 32 and 64 steps
-        assert solver1d._block_steps(m, N, m, lambda k: 1, lambda: 2) == K
+        assert solver1d._piece_steps(m, m, 2) == w
+        assert solver1d._block_steps(m, N, m, w, rank_samples("exp", N)) == K
+
+    def test_a_1d_run_takes_no_svd(self):
+        # a vector state prices its blocks without the rank of its samples:
+        # ex5_1 at the study1d size, M = 40 and tau = h^3, marches in blocks
+        # of 64 steps without an SVD
+        spec = case_ex5_1(1.5, 1.0, j=5).build_spec(1.0 / 40)(6400)
+        assert solver1d._block_steps(39, 6400) == 64
+        with mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd:
+            solve_left(spec)
+        assert svd.call_count == 0
 
     def test_block_path_only_where_dense_G_pays(self):
         # long runs on study grids march in blocks; wide grids with few
@@ -829,11 +858,11 @@ class TestGroupedFill:
         replays = []
         march = solver1d._march_blocks
 
-        def spy(step, U, samples, per_stage, factors, K, stepwise, *rest):
+        def spy(U, *, stepwise, **kwargs):
             def replay(U, start, stop):
                 replays.append((start, stop))
                 return stepwise(U, start, stop)
-            return march(step, U, samples, per_stage, factors, K, replay, *rest)
+            return march(U, stepwise=replay, **kwargs)
 
         with mock.patch.object(solver1d, "_march_blocks", spy):
             got = solve_left(spec, store_history=True).history
@@ -895,11 +924,10 @@ class TestGroupedFill:
 
         def counting(K=None):
             # the run's own groups, or groups of K
-            def march_counting(step, U, samples, per_stage, factors, K_run, *rest):
-                def counted():
-                    L, R = factors()
-                    return L.view(CountingMatrix), R
-                return march(step, U, samples, per_stage, counted, K or K_run, *rest)
+            def march_counting(U, *, factors, **kwargs):
+                (G,) = factors
+                return march(U, **{**kwargs, "factors": (G.view(CountingMatrix),),
+                                   "K": K or kwargs["K"]})
             return march_counting
 
         MATVECS.clear()

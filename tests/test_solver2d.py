@@ -131,7 +131,7 @@ def block_steps(K):
     if K is None:
         yield
         return
-    with mock.patch.object(solver1d, "_block_steps", lambda m, N, r=1, rank=None, spatial=None: K):
+    with mock.patch.object(solver1d, "_block_steps", lambda *args, **kwargs: K):
         yield
 
 
@@ -198,14 +198,29 @@ class TestBlockMarching:
         # profile of spatial rank 2: pieces of w = 64 steps, so K <= N gives
         # one block of 64, its forcing one product of the stacks' heads
         spec = case_ex5_3(1.5, 1.5, 1.0, 1.0).build_spec(1.0 / 260)(64)
-        assert solver1d._block_steps(259, 64, 259, lambda k: 1, lambda: 2) == 64
+        samples = np.exp(-(np.arange(64) + 0.5) * spec.time.tau)[:, None]
+        assert solver1d._block_steps(259, 64, 259, 64, samples) == 64
         with block_steps(1):
             ref = solve_adi(spec).values
         with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
             got = solve_adi(spec).values
-        assert blocks.call_args.args[5] == 64
-        assert len(blocks.call_args.args[9][2]) == 2  # S, the forcing's spatial rank
+        assert blocks.call_args.kwargs["K"] == 64
+        XL, _, w = blocks.call_args.kwargs["stacks"]
+        assert w == 64 and len(XL) == 64 * 2  # S = 2, the forcing's spatial rank
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("N,svds", [(8, 0), (253, 4)])
+    def test_no_svd_is_taken_below_the_break_even_gate(self, N, svds):
+        # ex5_3 at M = 40 pays for blocks from N = 12 on: below, the run
+        # steps without factoring its forcing or taking the rank of its
+        # samples.  At N = 253 one SVD factors the forcing, one prices
+        # K = 32 (K = 64 fails on its piece count alone), and one gives the
+        # basis of each block length, 32 and 29
+        spec = case_ex5_3(1.2, 1.5, 0.1, 0.1).build_spec(1.0 / 40)(N)
+        assert (solver1d._block_steps(39, N, 39) > 1) == (N >= 12)
+        with mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd:
+            solve_adi(spec)
+        assert svd.call_count == svds
 
     @pytest.mark.parametrize("K", [3, None])
     def test_zero_data_stays_exactly_zero(self, K):
@@ -266,17 +281,18 @@ SAMPLE_RANKS = {"exp": lambda K: 1, "cos": lambda K: 2, "rough": lambda K: K}
 def replays_recorded(replays, spatial=None):
     """Patch _march_blocks to record the (start, stop) of each chunk it
     replays stepwise, and the block length it runs with; and in
-    ``spatial``, when given, the spatial rank S of the run's forcing."""
+    ``spatial``, when given, the rows of the run's left forcing stack (w S
+    for a spatial rank S, none at w = 1) and their piece length w."""
     march = solver1d._march_blocks
 
-    def spy(step, U, samples, per_stage, factors, K, stepwise, *rest):
+    def spy(U, *, K, stepwise, stacks, **kwargs):
         def recorded(U, start, stop):
             replays.append((start, stop))
             return stepwise(U, start, stop)
         replays.append(K)
         if spatial is not None:
-            spatial.append(len(rest[-1][2]))
-        return march(step, U, samples, per_stage, factors, K, recorded, *rest)
+            spatial.append((len(stacks[0]), stacks[2]))
+        return march(U, K=K, stepwise=recorded, stacks=stacks, **kwargs)
 
     return mock.patch.object(solver1d, "_march_blocks", spy)
 
@@ -303,7 +319,7 @@ class TestSampleRank:
         replays, spatial = [], []
         with replays_recorded(replays, spatial):
             got = solve_adi(spec).values
-        w = solver1d._piece_steps(Mx - 1, My - 1, spatial[0])
+        _, w = spatial[0]
         K = max(k for k in (1, 2, 4, 8, 16, 32, 64)
                 if max(1, min(SAMPLE_RANKS[kind](k), N // k)) * k * -(-k // w) <= N)
         assert replays == [K]  # no chunk replayed
@@ -389,9 +405,9 @@ class TestSampleRank:
         # imports and caches outside the measurement
         with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
             solve_adi(spec)
-        assert blocks.call_args.args[5] == K
+        assert blocks.call_args.kwargs["K"] == K
         # rows of the left stack: none where a piece is one step
-        assert len(blocks.call_args.args[9][0]) == (128 if K == 64 else 0)
+        assert len(blocks.call_args.kwargs["stacks"][0]) == (128 if K == 64 else 0)
         tracemalloc.start()
         try:
             solve_adi(spec)
@@ -443,7 +459,7 @@ class TestSpatialRank:
         replays, spatial = [], []
         with replays_recorded(replays, spatial):
             got = solve_adi(spec).values
-        assert spatial == [S]
+        assert spatial == [(w * S if w > 1 else 0, w)]
         assert replays == [K]  # no chunk replayed
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -473,7 +489,7 @@ class TestSpatialRank:
         replays, spatial = [], []
         with replays_recorded(replays, spatial):
             sol = solve_adi(ProblemSpec2D(**{**spec.__dict__, "source": source}))
-        assert spatial == [0] and len(replays) == 1
+        assert spatial == [(0, 64)] and len(replays) == 1
         assert np.array_equal(sol.values, np.zeros((7, 7)))
 
     @pytest.mark.parametrize("K", [1, None])
