@@ -33,6 +33,7 @@ Assembly is pure and the results are safe to share.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -64,6 +65,8 @@ class Grid1D:
     M: int
 
     def __post_init__(self):
+        if not isinstance(self.M, numbers.Integral):  # numpy integers are Integral too
+            raise ValueError(f"the cell count must be an integer, got M={self.M!r}")
         if not (math.isfinite(self.a) and math.isfinite(self.b)):  # NaN or inf
             raise ValueError(f"grid ends must be finite, got [{self.a}, {self.b}]")
         if self.b <= self.a:
@@ -90,6 +93,8 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
+        if not isinstance(self.N, numbers.Integral):
+            raise ValueError(f"the step count must be an integer, got N={self.N!r}")
         if self.T <= 0.0:
             raise ValueError(f"horizon must be > 0, got {self.T}")
         if not math.isfinite(self.T):  # NaN or inf

@@ -60,7 +60,7 @@ One marcher then takes one of two paths:
   g_j the samples of its steps: for a vector state (r = 1, L = G) one
   product of the samples with a forcing stack of the terms L^j D_t; for a
   matrix state (2D) a combination of r_K matrices formed from thin stacks
-  of L^i A and R^i B, D = A B^T by a thin SVD (rank 2 for ex5_3), r_K the
+  of L^i A and R^i B, D = A B^T, sketched (rank 2 for ex5_3), r_K the
   rank of the samples of all blocks (1 for e^{-t}), with one state held at
   a time.  A 1D run with a stored history or a plain-callable source
   marches in blocks of one step, U <- G U + d_n: a plain source is called
@@ -127,6 +127,9 @@ _BLOWUP_LIMIT = 1e30
 _BLOCK_LIMIT = 1e-6 * _BLOWUP_LIMIT
 # a block is at most this many steps (see _block_steps)
 _BLOCK = 64
+# the columns of the sketch that finds a small spatial rank of a 2D forcing
+# (see _spatial_factors)
+_SKETCH = 8
 # stage matrices of at least this dimension are solved and applied through
 # their Toeplitz structure where lam*h <= 1 (see _toeplitz_map)
 _TOEPLITZ_DIM = 600
@@ -153,14 +156,16 @@ class BlowupError(RuntimeError):
 class SeparableSource:
     """A source f = temporal(t) * profile(space), callable as ``source(x, t)``.
 
-    ``profile`` maps the space arguments (the nodes in 1D, the meshgrid arrays
-    X, Y in 2D) to the space factor, and ``temporal`` maps a time to a scalar.
-    The solvers evaluate the profile once per run and march such problems
-    in blocks of steps.  A ``temporal`` that also maps an array of times to
-    the array of its values (``np.exp``, not ``math.exp``) is called once per
-    run; otherwise once per time level.  A boundary trace is a scalar
-    function of time, so it is separable as it stands and needs no such
-    wrapper.
+    ``profile`` maps the space arguments (the nodes in 1D; in 2D the
+    broadcasting grids X, Y of the nodes, or the full meshgrid where the
+    result on those fails its checks, see
+    :class:`~tempfrac.solver2d.ProblemSpec2D`) to the space factor, and
+    ``temporal`` maps a time to a scalar.  The solvers evaluate the profile
+    once per run and march such problems in blocks of steps.  A
+    ``temporal`` that also maps an array of times to the array of its
+    values (``np.exp``, not ``math.exp``) is called once per run; otherwise
+    once per time level.  A boundary trace is a scalar function of time, so
+    it is separable as it stands and needs no such wrapper.
     """
 
     profile: Callable
@@ -280,16 +285,60 @@ def _field(fn, name, shape, *args):
     return np.full(shape, value)
 
 
+def _agree(got, want):
+    """Whether two arrays agree, element by element, to 1e-12 relative."""
+    return bool((np.abs(got - want) <= 1e-12 * np.maximum(np.abs(got), np.abs(want))).all())
+
+
+def _grid_field(fn, name, shape, X, Y, *rest):
+    """fn(X, Y, *rest) as a float array of the 2D node shape ``shape``, for
+    X and Y the broadcasting grids of the nodes, of shapes (M_x + 1, 1) and
+    (1, M_y + 1).
+
+    fn is called on those grids, which an elementwise callable needs no
+    more than.  The result is taken where it broadcasts to ``shape``, is
+    finite and agrees, element by element to 1e-12 relative, with fn on the
+    full grid's first and last rows and first and last columns, all in one
+    call on a frame of two rows: the first row and column, then the last
+    ones (the rule _sample_run applies to times).  Otherwise, or where one
+    of those calls raises, fn is called on the full meshgrid and _field's
+    rules apply, as a callable that draws or writes by the shape of its
+    arguments needs (a seeded table of X.shape, an in-place write at one
+    node).  The frame follows _field's rules too, so a result of the wrong
+    shape is refused there even where it broadcasts on the grids.
+    """
+    m, r = shape
+    # the nodes (i, j) of the frame: the first row and column, then the last
+    i = np.empty((2, m + r), dtype=np.intp)
+    i[:, :r], i[:, r:] = [[0], [m - 1]], np.arange(m)
+    j = np.empty_like(i)
+    j[:, :r], j[:, r:] = np.arange(r), [[0], [r - 1]]
+
+    def frame(a):
+        return np.broadcast_to(a, shape)[i, j]
+
+    try:
+        value = np.asarray(fn(X, Y, *rest), dtype=float)
+        if np.isfinite(value).all() and _agree(
+                frame(value), _field(fn, name, i.shape, frame(X), frame(Y), *rest)):
+            return value if value.shape == shape else np.broadcast_to(value, shape).copy()
+    except Exception:  # a genuine error is raised again by the call on the full grid
+        pass
+    return _field(fn, name, shape, *np.meshgrid(X.ravel(), Y.ravel(), indexing="ij"), *rest)
+
+
 def _source_term(source, space, shift, stencil):
-    """Forcing term of ``source`` on the nodes ``space``; ``stencil`` maps a
+    """Forcing term of ``source`` on the nodes ``space``: (x,) in 1D, the
+    broadcasting grids (X, Y) in 2D (see _grid_field); ``stencil`` maps a
     nodal field to the per-stage forcing vectors."""
-    shape = np.shape(space[0])
+    shape = np.broadcast_shapes(*(np.shape(s) for s in space))
+    field = _field if len(space) == 1 else _grid_field
     if isinstance(source, SeparableSource):
-        profile = _field(source.profile, "the source profile", shape, *space)
+        profile = field(source.profile, "the source profile", shape, *space)
         return _Term(source.temporal, shift, stencil(profile))
     # the times down a first axis, against the nodes
     column = (-1,) + (1,) * len(shape)
-    return _Term(functools.partial(_field, source, "the source", shape, *space), shift,
+    return _Term(functools.partial(field, source, "the source", shape, *space), shift,
                  stencil=stencil, batch=lambda times: source(*space, times.reshape(column)))
 
 
@@ -482,9 +531,7 @@ def _sample_run(fn, first, count, tau, batch=None):
             values = np.asarray((batch or fn)(times), dtype=float)
             ends = np.array([fn((j + first) * tau) for j in (0, count - 1)], dtype=float)
             values = np.ascontiguousarray(np.broadcast_to(values, (count,) + ends.shape[1:]))
-            got = values[[0, -1]]
-            if np.isfinite(values).all() and (
-                    np.abs(got - ends) <= 1e-12 * np.maximum(np.abs(got), np.abs(ends))).all():
+            if np.isfinite(values).all() and _agree(values[[0, -1]], ends):
                 return values
         except Exception:  # a genuine error is raised again by the calls per time
             pass
@@ -677,27 +724,47 @@ def _spatial_factors(D):
     """The forcing stacks of a matrix state whose step is forced by the
     (m, r) matrix D, and their piece length: (XL, XR, w).
 
-    D is factored as A B^T by a thin SVD, its spatial rank S the count of
-    singular values above eps max(m, r) times the largest (0 for a zero D);
-    a D that is not all finite is taken at full rank, A = D and B = I, so
-    that the blocks it forces are not finite either and are replayed
-    stepwise.  w is the piece length of rank S (see _piece_steps).  The
-    stacks hold L^i A and R^i B for i < w, transposed: rows i S + c.  Only
-    the heads, A^T and B^T, are written here; _march_blocks fills the rest
-    by doubling.  At w = 1 the stacks are empty: a piece of one step is
-    that step's forcing, a multiple of D, which takes no product (see
-    _block_forcing).
+    D is factored as A B^T, its spatial rank S the count of singular values
+    above eps max(m, r) times the largest (0 for a zero D).  A small S is
+    found by a checked sketch (Halko, Martinsson & Tropp, SIAM Rev. 53
+    (2011) 217): Q, an orthonormal basis of D Omega for an r x _SKETCH
+    Gaussian Omega drawn on each call from np.random.default_rng(0), and a
+    thin SVD C = U_C s V_C^T of C = Q^T D.  It is taken, A = Q U_C s and
+    B = V_C cut to S, where ||D - Q C||_F <= eps max(m, r) s_1 and the
+    count S from s is below _SKETCH.  D then lies in the range of Q to
+    round-off, so correctness rests on that check, never on the draw.
+    Otherwise S is counted from D's singular values alone, and its singular
+    vectors are taken only where the stacks hold them (w > 1).  A D that is
+    not all finite is taken at full rank, A = D and B = I, so that the
+    blocks it forces are not finite either and are replayed stepwise.  w is
+    the piece length of rank S (see _piece_steps).  The stacks hold L^i A
+    and R^i B for i < w, transposed: rows i S + c.  Only the heads, A^T and
+    B^T, are written here; _march_blocks fills the rest by doubling.  At
+    w = 1 the stacks are empty: a piece of one step is that step's forcing,
+    a multiple of D, which takes no product (see _block_forcing).
     """
     m, r = D.shape
-    if np.isfinite(D).all():
-        U, s, Vt = np.linalg.svd(D, full_matrices=False)
-        S = np.count_nonzero(s > np.finfo(float).eps * max(m, r) * s[:1])
-        At, Bt = s[:S, None] * U[:, :S].T, Vt[:S]
-    else:
+    tol = np.finfo(float).eps * max(m, r)
+    empty = np.empty((0, m)), np.empty((0, r)), 1
+    if not np.isfinite(D).all():
         At, Bt = D.T, np.eye(r)
+    else:
+        Q = np.linalg.qr(D @ np.random.default_rng(0).standard_normal((r, _SKETCH)))[0]
+        C = Q.T @ D
+        U, s, Bt = np.linalg.svd(C, full_matrices=False)
+        S = np.count_nonzero(s > tol * s[0])
+        if S < _SKETCH and np.linalg.norm(D - Q @ C) <= tol * s[0]:
+            At, Bt = s[:S, None] * (Q @ U[:, :S]).T, Bt[:S]
+        else:
+            s = np.linalg.svd(D, compute_uv=False)
+            S = np.count_nonzero(s > tol * s[0])
+            if _piece_steps(m, r, S) == 1:
+                return empty
+            U, s, Vt = np.linalg.svd(D, full_matrices=False)
+            At, Bt = s[:S, None] * U[:, :S].T, Vt[:S]
     w = _piece_steps(m, r, len(Bt))
     if w == 1:
-        return np.empty((0, m)), np.empty((0, r)), w
+        return empty
     XL, XR = np.empty((w * len(Bt), m)), np.empty((w * len(Bt), r))
     XL[:len(Bt)], XR[:len(Bt)] = At, Bt
     return XL, XR, w

@@ -52,7 +52,7 @@ import numpy as np
 from ._blas import single_thread
 from .calculus import TemperedParams
 from .operators import Grid1D, TimeGrid, P_column_row, apply_compact
-from .solver1d import _field, _march, _source_term, _stage
+from .solver1d import _grid_field, _march, _source_term, _stage
 
 __all__ = ["ProblemSpec2D", "Solution2D", "solve_adi"]
 
@@ -61,11 +61,22 @@ __all__ = ["ProblemSpec2D", "Solution2D", "solve_adi"]
 class ProblemSpec2D:
     """Rectangle problem with homogeneous Dirichlet boundary.
 
-    ``initial`` maps meshgrid arrays (X, Y) to u(x, y, 0); ``source`` maps
+    ``initial`` maps node arrays (X, Y) to u(x, y, 0); ``source`` maps
     (X, Y, t) to f, either as a :class:`~tempfrac.solver1d.SeparableSource`,
     whose profile is evaluated once per run, or as a plain callable evaluated
-    once per step.  Directional operator parameters live in ``params_x`` and
-    ``params_y`` (diffusivities fold into the assembled matrices).
+    once per step.  Each returns one value per node or a scalar, constant on
+    the nodes.  X and Y are at first the broadcasting grids of the nodes, of
+    shapes (M_x + 1, 1) and (1, M_y + 1): there an elementwise callable
+    (``np.exp(-X) * np.sin(Y)``) returns the full field and takes its
+    functions of x alone or of y alone once per grid line, not once per
+    node.  That result is taken where it broadcasts to the node shape, is
+    finite and agrees, to 1e-12 relative, with one more call, on a frame of
+    the full grid's first and last rows and its first and last columns.
+    Otherwise the callable is called once more, on the full
+    (M_x + 1, M_y + 1) meshgrid, as one that draws or writes by the shape of
+    its arguments needs.  Directional operator parameters live in
+    ``params_x`` and ``params_y`` (diffusivities fold into the assembled
+    matrices).
     """
 
     grid_x: Grid1D
@@ -88,9 +99,12 @@ class Solution2D:
 
 
 def _initial_surface(spec):
-    """The meshgrid arrays X, Y and the initial data on every node."""
-    X, Y = np.meshgrid(spec.grid_x.nodes(), spec.grid_y.nodes(), indexing="ij")
-    return X, Y, _field(spec.initial, "the initial data", X.shape, X, Y)
+    """The broadcasting grids X, Y of the nodes, of shapes (M_x + 1, 1) and
+    (1, M_y + 1), and the initial data on every node (see
+    :func:`~tempfrac.solver1d._grid_field`)."""
+    X, Y = np.meshgrid(spec.grid_x.nodes(), spec.grid_y.nodes(), indexing="ij", sparse=True)
+    shape = (spec.grid_x.M + 1, spec.grid_y.M + 1)
+    return X, Y, _grid_field(spec.initial, "the initial data", shape, X, Y)
 
 
 def _forcing_map(solve, L, grid, lam):
@@ -132,7 +146,10 @@ def solve_adi(spec):
     """Run the factored two-sweep scheme; returns the final interior slice.
 
     The problem is posed with homogeneous Dirichlet boundaries; initial data
-    that fails to vanish on the boundary ring draws a warning.
+    that fails to vanish on the boundary ring draws a warning.  The initial
+    data, a separable profile and a plain source's values are taken on the
+    broadcasting grids of the nodes where they pass the checks stated in
+    :class:`ProblemSpec2D`, else on the full meshgrid.
     """
     surface = _initial_surface(spec)
     U0 = surface[2]

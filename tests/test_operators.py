@@ -47,6 +47,20 @@ class TestGrids:
                 Grid1D(a, b, 10)
 
 
+    @pytest.mark.parametrize("count", [10.5, math.nan])
+    def test_non_integer_counts_are_rejected(self, count):
+        # they used to build and fail later, inside the solvers, with a
+        # TypeError from NumPy
+        with pytest.raises(ValueError, match="the step count must be an integer, got N="):
+            TimeGrid(0.1, count)
+        with pytest.raises(ValueError, match="the cell count must be an integer, got M="):
+            Grid1D(0.0, 1.0, count)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        grid, time = Grid1D(0.0, 1.0, np.int64(10)), TimeGrid(0.1, np.int64(10))
+        assert len(grid.nodes()) == 11 and time.tau == pytest.approx(0.01)
+
+
 class TestCompactMatrix:
     def test_untempered_bands_are_symmetric(self):
         g = Grid1D(0.0, 1.0, 8)

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
-from tempfrac import _blas, solver1d, solver2d
+from tempfrac import _blas, solver1d, solver2d, verification
 from tempfrac.calculus import TemperedParams
 from tempfrac.operators import (Grid1D, TimeGrid, P_column_row, apply_compact, assemble_B,
                                 assemble_P)
@@ -429,9 +429,87 @@ def spatial_profile(kind, seed):
     return lambda spec: lambda X, Y: np.random.default_rng(seed).standard_normal(X.shape)
 
 
+def svd_factors(D):
+    """The forcing stacks of D from a full SVD, the rank counted as
+    _spatial_factors counts it: the reference for its checked sketch."""
+    m, r = D.shape
+    U, s, Vt = np.linalg.svd(D, full_matrices=False)
+    S = np.count_nonzero(s > np.finfo(float).eps * max(m, r) * s[:1])
+    w = solver1d._piece_steps(m, r, S)
+    if w == 1:
+        return np.empty((0, m)), np.empty((0, r)), w
+    XL, XR = np.empty((w * S, m)), np.empty((w * S, r))
+    XL[:S], XR[:S] = s[:S, None] * U[:, :S].T, Vt[:S]
+    return XL, XR, w
+
+
+def svd_shapes():
+    """Patch numpy.linalg.svd to record the shape of each matrix it takes
+    and whether its singular vectors were asked for."""
+    calls, svd = [], np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    return calls, mock.patch("numpy.linalg.svd", recorded)
+
+
 class TestSpatialRank:
     """2D blocks take their forcing from thin stacks of the profile's
     spatial factors, L^i A and R^i B, in pieces of w steps."""
+
+    @pytest.mark.parametrize("m", [9, 39, 159])
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3, 7, 8, 9, "full"])
+    def test_the_sketch_keeps_the_rank_of_the_full_svd(self, m, rank):
+        # S, as priced by _piece_steps, is the full SVD's count: below 8 from
+        # the sketch alone, with no SVD of D; from 8 on from the singular
+        # values of D, its vectors taken only where w > 1
+        rng = np.random.default_rng(m)
+        r = m + 3
+        S = m if rank == "full" else rank
+        D = rng.standard_normal((m, S)) @ rng.standard_normal((S, r))
+        want = svd_factors(D)
+        assert len(want[0]) == (want[2] * S if want[2] > 1 else 0)  # the SVD's count is S
+        calls, patch = svd_shapes()
+        with patch, mock.patch.object(solver1d, "_piece_steps",
+                                      wraps=solver1d._piece_steps) as pieces:
+            XL, XR, w = solver1d._spatial_factors(D)
+        assert {call.args[2] for call in pieces.call_args_list} == {S}
+        assert w == want[2] and XL.shape == want[0].shape and XR.shape == want[1].shape
+        of_D = [uv for shape, uv in calls if shape == (m, r)]
+        assert of_D == ([] if S < 8 else [False, True] if w > 1 else [False])
+        if w > 1:  # A B^T within the bounds of the rank's cut and of the check
+            off = np.linalg.norm(XL[:S].T @ XR[:S] - D, 2)
+            assert off <= 2.0 * np.finfo(float).eps * max(m, r) * np.linalg.norm(D, 2)
+
+    def test_a_full_rank_profile_takes_no_singular_vectors(self):
+        # a seeded table at M = 160: pieces of one step, so the run needs
+        # D's rank alone, and its final state is that of the full SVD's
+        m, N = 159, 100
+        spec = case_ex5_3(1.2, 1.5, 1.0, 1.0).build_spec(1.0 / (m + 1))(N)
+        table = np.random.default_rng(1).standard_normal((m + 2, m + 2))
+        spec = ProblemSpec2D(**{**spec.__dict__,
+                                "source": SeparableSource(lambda X, Y: table, np.exp)})
+        calls, patch = svd_shapes()
+        with patch:
+            got = solve_adi(spec).values
+        assert ((m, m), False) in calls and ((m, m), True) not in calls
+        with mock.patch.object(solver1d, "_spatial_factors", svd_factors):
+            want = solve_adi(spec).values
+        assert np.array_equal(got, want)
+
+    def test_ex5_3_from_the_sketch_keeps_to_the_full_svd(self):
+        # the sketch factors ex5_3's rank-2 forcing otherwise than the SVD,
+        # so the two final states differ at round-off
+        spec = case_ex5_3(1.2, 1.5, 0.1, 0.1).build_spec(1.0 / 160)(100)
+        calls, patch = svd_shapes()
+        with patch:
+            got = solve_adi(spec).values
+        assert calls and all(shape != (159, 159) for shape, _ in calls)
+        with mock.patch.object(solver1d, "_spatial_factors", svd_factors):
+            want = solve_adi(spec).values
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @settings(max_examples=30, deadline=None)
     @given(profile=st.sampled_from(["rank 1", "rank 2", "random"]),
@@ -589,6 +667,10 @@ class TestCompiledStep:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+FIELD_NAMES = [("initial", "the initial data"), ("source", "the source has"),
+               ("profile", "the source profile")]
+
+
 class TestUserFields:
     """Initial data, plain source values and source profiles may be scalars."""
 
@@ -607,20 +689,118 @@ class TestUserFields:
         want = solve(lambda c: lambda X, *_: np.full(np.shape(X), c))
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("field,name", [
-        ("initial", "the initial data"), ("source", "the source has"),
-        ("profile", "the source profile"),
-    ])
-    def test_a_field_of_the_wrong_shape_raises(self, field, name):
-        short = lambda X, *_: np.ones_like(X)[:-1]
+    @staticmethod
+    def solve_with(field, fn):
         spec = zero_spec2d()
         if field == "initial":
-            spec = ProblemSpec2D(**{**spec.__dict__, "initial": short})
+            spec = ProblemSpec2D(**{**spec.__dict__, "initial": fn})
         else:
-            source = short if field == "source" else SeparableSource(short, math.cos)
+            source = fn if field == "source" else SeparableSource(fn, math.cos)
             spec = ProblemSpec2D(**{**spec.__dict__, "source": source})
+        return solve_adi(spec)
+
+    @pytest.mark.parametrize("field,name", FIELD_NAMES)
+    def test_a_field_of_the_wrong_shape_raises(self, field, name):
+        short = lambda X, *_: np.ones_like(X)[:-1]
         with pytest.raises(ValueError, match=name):
-            solve_adi(spec)
+            self.solve_with(field, short)
+
+    @pytest.mark.parametrize("field,name", FIELD_NAMES)
+    def test_a_field_of_one_column_raises(self, field, name):
+        # it broadcasts on the grids of the nodes, but not on the frame of
+        # their end rows and columns
+        column = lambda X, *_: np.ones_like(X)[:, :1]
+        with pytest.raises(ValueError, match=name):
+            self.solve_with(field, column)
+
+
+def node_grids(Mx, My):
+    """The broadcasting grids of the nodes of the unit square and the full
+    meshgrid."""
+    x, y = Grid1D(0.0, 1.0, Mx).nodes(), Grid1D(0.0, 1.0, My).nodes()
+    return (np.meshgrid(x, y, indexing="ij", sparse=True),
+            np.meshgrid(x, y, indexing="ij"))
+
+
+# elementwise callables of (X, Y, t), built from three coefficients
+ELEMENTWISE = {
+    "polynomial": lambda c: lambda X, Y, t: np.polyval(c, X - 2.0 * Y) * X * Y + t,
+    "exp": lambda c: lambda X, Y, t: np.exp(c[0] * X + c[1] * Y - t),
+    "sin": lambda c: lambda X, Y, t: np.sin(c[0] * X) * np.cos(c[1] * Y + c[2] * t),
+    "where": lambda c: lambda X, Y, t: np.where(X > Y, X**2, c[0] * Y),
+    "x only": lambda c: lambda X, Y, t: np.exp(c[0] * X) * (1.0 - X) * np.cos(t),
+    "y only": lambda c: lambda X, Y, t: np.sin(c[1] * Y) ** 3,
+    "ex5_3": lambda c: lambda X, Y, t: case_ex5_3(
+        1.5 + 0.15 * c[0], 1.5 + 0.15 * c[1], 1.0, 0.5).source(X, Y, t),
+}
+
+
+class TestBroadcastingGrids:
+    """2D fields are taken on the broadcasting grids of the nodes where the
+    result passes its checks, else on the full meshgrid."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(ELEMENTWISE)), Mx=st.integers(4, 60),
+           My=st.integers(4, 60), t=st.floats(0.0, 1.0),
+           c=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    def test_elementwise_callables_give_the_bytes_of_the_full_grid(self, kind, Mx, My, t, c):
+        (X, Y), (Xf, Yf) = node_grids(Mx, My)
+        fn, shapes = ELEMENTWISE[kind](c), []
+
+        def recorded(X, Y, t):
+            shapes.append(np.shape(X))
+            return fn(X, Y, t)
+
+        got = solver1d._grid_field(recorded, "the field", Xf.shape, X, Y, t)
+        want = fn(Xf, Yf, t)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert shapes == [(Mx + 1, 1), (2, Mx + My + 2)]  # no call on the full grid
+
+    @pytest.mark.parametrize("kind", ["table on X", "table on Y", "write at [4, 6]",
+                                      "needs equal shapes"])
+    def test_other_callables_take_the_full_grid(self, kind):
+        shapes = []
+
+        def fn(X, Y):
+            shapes.append(np.shape(X))
+            if kind == "table on X":
+                return np.random.default_rng(3).standard_normal(X.shape)
+            if kind == "table on Y":
+                return np.random.default_rng(3).standard_normal(Y.shape)
+            if kind == "write at [4, 6]":
+                F = X * Y + 1.0
+                F[4, 6] = 7.0
+                return F
+            return np.hypot(*np.stack((X, Y)))  # raises on the thin grids
+
+        (X, Y), (Xf, Yf) = node_grids(10, 12)
+        got = solver1d._grid_field(fn, "the field", Xf.shape, X, Y)
+        assert shapes[-1] == Xf.shape
+        assert np.array_equal(got, fn(Xf, Yf))
+
+    def test_a_solve_and_its_error_take_ex5_3_from_thin_calls_alone(self):
+        # two calls a field: on the grids of the nodes, then on the frame of
+        # the end rows and columns; error_norm's on the interior nodes
+        case = case_ex5_3(1.2, 1.5, 1.0, 1.0)
+        spec = case.build_spec(1.0 / 40)(60)
+        shapes = []
+
+        def recorded(fn):
+            def wrapped(X, Y, *t):
+                shapes.append(np.shape(X))
+                return fn(X, Y, *t)
+            return wrapped
+
+        traced = ProblemSpec2D(**{
+            **spec.__dict__, "initial": recorded(spec.initial),
+            "source": SeparableSource(recorded(case.source.profile), case.source.temporal)})
+        sol = solve_adi(traced)
+        error = verification.error_norm(sol, recorded(case.exact))
+        assert shapes == [(41, 1), (2, 82)] * 2 + [(39, 1), (2, 78)]
+        # the error of the exact solution on the full interior meshgrid
+        X, Y = np.meshgrid(sol.grid_x.interior(), sol.grid_y.interior(), indexing="ij")
+        diff = case.exact(X, Y, spec.time.T) - sol.values
+        assert error == float(np.sqrt(sol.grid_x.h * sol.grid_y.h * np.sum(diff**2)))
 
 
 class TestSymmetryOfRandomData:
