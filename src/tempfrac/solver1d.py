@@ -54,18 +54,20 @@ One marcher then takes one of two paths:
   (G,) for a vector state, G = step(I, 0), and (L, R) for a matrix state;
   the forcing D, one row D_t = step(0, vectors of term t) per
   scalar-times-vector term of a vector state and the one term's (m, r)
-  matrix of a matrix state; the temporal samples; K; and for a matrix
-  state the stacks of D's spatial factors (_spatial_factors).  A block is
-  U <- L^K U (R^K)^T plus the sum over its steps j of g_j L^j D (R^j)^T,
-  g_j the samples of its steps: for a vector state (r = 1, L = G) one
-  product of the samples with a forcing stack of the terms L^j D_t; for a
-  matrix state (2D) a combination of r_K matrices formed from thin stacks
-  of L^i A and R^i B, D = A B^T, sketched (rank 2 for ex5_3), r_K the
-  rank of the samples of all blocks (1 for e^{-t}), with one state held at
-  a time.  A 1D run with a stored history or a plain-callable source
-  marches in blocks of one step, U <- G U + d_n: a plain source is called
-  once per group with an array of times where it broadcasts, else once
-  per step, and the fields of a group of steps reach their d_n through one
+  matrix of a matrix state; the temporal samples; K; and the heads of the
+  forcing stacks: D itself for a vector state, the spatial factors A^T
+  and B^T of D = A B^T for a matrix state (_spatial_factors, rank 2 for
+  ex5_3).  A block is U <- L^K U (R^K)^T plus the sum over its steps j of
+  g_j L^j D (R^j)^T, g_j the samples of its steps, and one rule forms it
+  for both states: one product of the block's own samples with the
+  stacks, of the terms L^j D_t for a vector state (r = 1, L = G), of
+  L^j A and R^j B for a matrix state (2D), where a block whose samples
+  are a multiple of an earlier block's takes that block's forcing times
+  the multiple (one product for each block length for e^{-t}) and one
+  state is held at a time.  A 1D run with a stored history or a
+  plain-callable source marches in blocks of one step, U <- G U + d_n: a
+  plain source is called once per group with an array of times where it
+  broadcasts, else once per step, and the fields of a group of steps reach their d_n through one
   product with the forcing map step(0, stencil(I)), formed like G, and
   only once some field is not all zero.  The d_n are written straight into
   the rows of the history, which are then filled in place in groups of K
@@ -97,6 +99,7 @@ Runs share no mutable state and may execute concurrently.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import warnings
@@ -342,11 +345,11 @@ def _source_term(source, space, shift, stencil):
                  stencil=stencil, batch=lambda times: source(*space, times.reshape(column)))
 
 
-def _block_steps(m, N, r=1, w=1, samples=None):
+def _block_steps(m, N, r=1, S=None):
     """The block length K of a run of N steps on an (m, r) state; 1 selects
-    the stepwise path.  A matrix state gives the piece length w of its
-    forcing (see _spatial_factors) and its temporal ``samples``, one row a
-    step; the rank of the samples is taken only where blocks may pay.
+    the stepwise path.  A matrix state gives the spatial rank S of its
+    forcing (see _spatial_factors), 0 for the longest block any forcing
+    allows; a vector state gives none.
 
     Forming the factors L, R and their powers costs about 32 (m^3 + r^3)
     flops.  Each compiled step saves the per-step overhead (some 40 us) and
@@ -358,40 +361,24 @@ def _block_steps(m, N, r=1, w=1, samples=None):
     breaks even with the stepwise one between 8 and 32 steps there.
 
     Where it pays, K is the largest power of two up to _BLOCK with
-    r_K K ceil(K / w) <= N: r_K the rank of the samples of the run's blocks
-    of K steps (see _sample_basis) for a matrix state and 1 for a vector
-    state, whose w is 1.  Setting up blocks costs about r_K ceil(K / w)
-    products against the N / K dependent ones of the march: a matrix
-    state's block forcing takes, for each of r_K basis vectors, one product
-    of its stacks' heads a piece of w steps and a pair of products joining
-    the pieces (see _block_forcing), a vector state's forcing stack K
-    products at any rank.  A temporal factor such as e^{-t}, whose samples
-    over a block are one vector times a scalar, has rank 1; a rough one has
-    full rank r_K = K.  So at w = 1 (a forcing of full spatial rank)
-    K^2 <= N for e^{-t} and K^3 <= N for a rough factor, and where w >= K
-    (ex5_3, of spatial rank 2, from 159 unknowns a direction) K <= N for
-    e^{-t}.  At w = _BLOCK and without samples K is the longest block any
-    forcing allows, 1 only where blocks cannot pay or N = 1.
+    K^2 <= N for a vector state, and with K <= N and K S < m + r for a
+    matrix state.  A vector state's forcing stack costs about K products
+    against the N / K dependent ones of the march.  A matrix state's
+    stacks hold K entries of S rows, so they are never larger than L and
+    R together, and a block's forcing, one product of its samples with
+    them (see _march_blocks), costs 2 m r K S flops, less than one step,
+    so a block of K steps costs less than two.  Where no block of two
+    steps pays, 2 S >= m + r (a forcing of full spatial rank on a square),
+    the run steps.  So ex5_3 (S = 2, e^{-t}) takes K = 8, 16, 32
+    and 64 at M = 10, 20, 40 and 80, and 64 from there on.
     """
     saved = m * m if r == 1 else m * r * (m + r)
     if N * (4e4 + saved) < 16.0 * (m**3 + r**3):
         return 1
     K = _BLOCK
-    while K > 1 and (K * -(-K // w) > N or samples is not None and len(
-            _sample_basis(samples[:N // K * K].reshape(N // K, -1))[0]) * K * -(-K // w) > N):
+    while K > 1 and (K * K > N if S is None else K > N or K * S >= m + r):
         K //= 2
     return K
-
-
-def _piece_steps(m, r, S):
-    """w, the steps of a piece of a matrix state's block forcing whose
-    spatial rank is S: the largest power of two up to _BLOCK with
-    w S <= max(m, r), at least 1.  Each of the forcing stacks then holds at
-    most max(m, r) rows, or S where S alone is more (see _spatial_factors)."""
-    w = _BLOCK
-    while w > 1 and w * S > max(m, r):
-        w //= 2
-    return w
 
 
 def _march(step, stages, U, time, terms, history=None, factors=None, toeplitz_stages=False):
@@ -409,9 +396,10 @@ def _march(step, stages, U, time, terms, history=None, factors=None, toeplitz_st
 
     Where _block_steps gives a block length K > 1, the step is compiled
     once and _march_blocks marches on it: a vector state on G = step(I, 0)
-    and the forcing rows D_t = step(0, vectors of term t), a matrix state
-    on (L, R) and its term's vector D, factored into its forcing stacks
-    (see _spatial_factors) before K is priced.  A run whose terms are all
+    and the forcing rows D_t = step(0, vectors of term t), the heads of
+    its forcing stack; a matrix state on (L, R) and its term's vector D,
+    whose spatial factors, the heads of its stacks, are found before K is
+    priced at their rank (see _spatial_factors).  A run whose terms are all
     scalar-times-vector marches in blocks of K steps, and a vector state
     with a general term or a history in blocks of one step, in groups of
     K.  ``toeplitz_stages`` marks steps served through their Toeplitz
@@ -453,12 +441,10 @@ def _march(step, stages, U, time, terms, history=None, factors=None, toeplitz_st
     # for a matrix state first the longest block any forcing allows: no SVD
     # is taken below the break-even gate
     K = 1 if toeplitz_stages or general and not vector else _block_steps(
-        m, N, r, 1 if vector else _BLOCK)
-    stacks = None
+        m, N, r, None if vector else 0)
     if K > 1 and not vector:  # the step is L U R^T + f: the term's forcing is its own vector
         (D,) = per_stage[0]
-        stacks = _spatial_factors(D)
-        K = _block_steps(m, N, r, stacks[2], samples)
+        heads, K = _spatial_factors(D, N)
     if K == 1:
         return stepwise(U, 0, N)
     if vector:  # a vector step maps a matrix column by column: one call for all terms
@@ -486,8 +472,8 @@ def _march(step, stages, U, time, terms, history=None, factors=None, toeplitz_st
         return forced
 
     return _march_blocks(U, factors=factors, D=D, samples=samples, K=K, stepwise=stepwise,
-                         history=history, general=general_forcing if general else None,
-                         stacks=stacks)
+                         heads=(D,) if vector else heads, history=history,
+                         general=general_forcing if general else None)
 
 
 def _sample(terms, N, tau):
@@ -538,8 +524,7 @@ def _sample_run(fn, first, count, tau, batch=None):
     return np.array([fn((j + first) * tau) for j in range(count)], dtype=float)
 
 
-def _march_blocks(U, *, factors, D, samples, K, stepwise, history=None, general=None,
-                  stacks=None):
+def _march_blocks(U, *, factors, D, samples, K, stepwise, heads, history=None, general=None):
     """Units of K steps, then one unit of the N mod K steps left over, all
     by one loop; ``stepwise`` is the reference it falls back on.
 
@@ -547,38 +532,41 @@ def _march_blocks(U, *, factors, D, samples, K, stepwise, history=None, general=
     for an (m, r) matrix state, whose step maps U to L U R^T + sum_t c_t D_t
     (for a vector, R = [[1]] and L = G), with c_t = ``samples[n, t]`` and
     D_t row t of ``D`` for a vector state; a matrix state has one term, D
-    an (m, r) matrix, and ``stacks`` = (XL, XR, w) its forcing stacks and
-    their piece length (see _spatial_factors).  A unit of k steps maps the
+    an (m, r) matrix.  ``heads`` are the heads of the forcing stacks: (D,)
+    for a vector state, (A^T, B^T) for a matrix state, D = A B^T of
+    spatial rank S (see _spatial_factors).  A unit of k steps maps the
     state to L^k U (R^k)^T plus the unit's forcing.  A vector state that
     records every state (a stored ``history``) or has general terms
     (``general(start, stop, rows)`` adds their forcing to the rows of those
     steps and says whether it added any) takes groups of one-step blocks
     for units: one row a step, holding d_n = sum_t samples[n, t] D_t.  Any
     other run takes blocks of steps, whose forcing is the sum over its
-    steps i of samples[n + i] L^(k-1-i) D (R^(k-1-i))^T: for a vector state
-    the product of the block's samples g, last step first, with the head of
-    the forcing stack, whose row i T + t holds L^i D_t; for a matrix state
-    sum_j (g V^T)_j Z_j, with V an orthonormal basis of the row space of the
-    samples of all blocks of that length (see _sample_basis) and
-    Z_j = sum_i V[j, i] L^i D (R^i)^T formed from the heads of the stacks of
-    L^i A and R^i B, D = A B^T, in pieces of w steps (see _block_forcing):
-    both block lengths use the same stacks.
+    steps i of samples[n + i] L^(k-1-i) D (R^(k-1-i))^T, one product of the
+    block's samples g, last step first, with the stacks: for a vector state
+    g times the stack whose row i T + t holds L^i D_t, for a matrix state
+    (XL^T scaled by g, each sample S times) XR, with the stacks XL and XR
+    whose rows i S + c hold L^i A and R^i B, transposed (see
+    _block_forcings, which also reuses the forcing of a block whose samples
+    are a multiple of an earlier one's).  Both block lengths use the same
+    stacks.
 
-    The stacks are filled by doubling, the first 2^i entries through
-    L^(2^i) (R^(2^i)) giving the next 2^i, one product each, as the
-    squarings of the factors are formed one after another.  A squaring is
-    held only while it is still needed: L^K and R^K, the product of those
-    at the bits of N mod K, and L^w, R^w where the pieces are shorter than
-    a block.
+    The stacks grow from their heads by doubling, the first 2^i entries
+    through L^(2^i) (R^(2^i)) giving the next 2^i, one product each, as the
+    squarings of the factors are formed one after another: K entries, so
+    a matrix state's stacks hold K S < m + r rows (see _block_steps).  A
+    squaring is held only while it is still needed: L^K and R^K and the
+    product of those at the bits of N mod K.
 
     The units go a chunk at a time, K of them (fewer only where fewer are
     left).  A matrix state's chunk holds one state at a time besides the
-    state it starts from: each block is U <- L^k U (R^k)^T + its forcing.
-    A vector state's chunk is filled in rows of ``history`` or of one
-    scratch buffer, K^2 rows of m floats at most, no more than a history
-    would hold (K^2 <= N for a vector state, see _block_steps).  The rows receive the chunk's forcing in one
-    product, none where its samples are all zero, and a general term's one
-    group at a time, its fields stacked for that group's steps alone; then
+    state it starts from: each block is U <- L^k U (R^k)^T + its forcing,
+    and one block's forcing is held besides, that of the last block that
+    took a product.  A vector state's chunk is filled in rows of
+    ``history`` or of one scratch buffer, K^2 rows of m floats at most, no
+    more than a history would hold (K^2 <= N for a vector state, see
+    _block_steps).  The rows receive the chunk's forcing in one product,
+    none where its samples are all zero, and a general term's one group at
+    a time, its fields stacked for that group's steps alone; then
     _fill_groups fills them with the states, the unit ends following one
     another through G^k.
 
@@ -601,29 +589,20 @@ def _march_blocks(U, *, factors, D, samples, K, stepwise, history=None, general=
     vector = U.ndim == 1
     m = len(factors[0])
     grouped = history is not None or general is not None
-    # the stacks hold w entries of ``height`` rows: a block's forcing or a
-    # piece of it, one step for a group's rows
-    if vector:
-        sizes = np.abs(D).max(axis=1)
-        height, w = T, 1 if grouped else K
-        stacks = (np.empty((w * T, m)),)
-        stacks[0][:T] = D
-    else:  # S rows an entry, none at w = 1, where a piece is one step's forcing
-        XL, XR, w = stacks
-        sizes = np.array([np.abs(D).max()])
-        height, w = len(XL) // w, min(w, K)
-        stacks = XL[:w * height], XR[:w * height]
+    # the stacks grow from their heads to ``entries`` entries of ``height``
+    # rows: K for a block's forcing, one step for a group's rows
+    height, entries, stacks = len(heads[0]), 1 if grouped else K, heads
+    sizes = np.abs(D).max(axis=1) if vector else np.abs(D).max(keepdims=True)[0]
     # sup-norm bound of each step's forcing, summed per unit below
     forcing_bound = np.abs(samples) @ sizes
 
     # The squarings of the factors for every bit of K, formed one at a time
     # and kept only in power[k], the k-th powers of the factors for the unit
-    # lengths k and the piece length w.  Since
-    # ||L V R^T||_max <= ||L||_inf ||V||_max ||R||_inf, the product of their
-    # norms (at least 1 each) bounds the growth of any j <= K steps.  An
-    # unstable step may overflow them: gamma is then inf or NaN, and every
-    # chunk is replayed.
-    power = {k: None for k in (K, N % K, w) if k}
+    # lengths k.  Since ||L V R^T||_max <= ||L||_inf ||V||_max ||R||_inf,
+    # the product of their norms (at least 1 each) bounds the growth of any
+    # j <= K steps.  An unstable step may overflow them: gamma is then inf
+    # or NaN, and every chunk is replayed.
+    power = {k: None for k in (K, N % K) if k}
     norms = []
     squarings = factors
     with np.errstate(over="ignore", invalid="ignore"):
@@ -632,10 +611,9 @@ def _march_blocks(U, *, factors, D, samples, K, stepwise, history=None, general=
                 squarings = [P @ P for P in squarings]
             norms += [np.abs(P).sum(axis=1).max() for P in squarings]
             done = 1 << i  # entries of the stacks filled
-            if done < w:
-                c = min(done, w - done) * height
-                for X, P in zip(stacks, squarings):
-                    np.matmul(X[:c], P.T, out=X[done * height:done * height + c])
+            if done < entries:
+                stacks = [np.concatenate((X, X[:min(done, entries - done) * height] @ P.T))
+                          for X, P in zip(stacks, squarings)]
             for k, Pk in power.items():
                 if k >> i & 1:
                     power[k] = squarings if Pk is None else [P @ Q for P, Q in zip(squarings, Pk)]
@@ -652,10 +630,8 @@ def _march_blocks(U, *, factors, D, samples, K, stepwise, history=None, general=
         bounds = forcing_bound[n:n + units * length].reshape(units, length).sum(axis=1)
         # one row of samples a row of the chunk, a block's last step first
         g = samples[n:n + units * length].reshape(units * q, k, T)[:, ::-1].reshape(units * q, k * T)
-        if not vector:  # the blocks' forcing in the row space of their samples, none for D = 0
-            V, coordinates = (_sample_basis(g) if sizes.any()
-                              else (np.empty((0, k)), np.empty((len(g), 0))))
-            Z = _block_forcing(stacks, D, V, w, power[w])
+        if not vector:  # each block's forcing, one at a time
+            forcings = _block_forcings(stacks, height, g)
         elif history is None:  # the rows of a chunk of K units
             scratch = np.empty((min(units, K) * q, m))
         for first in range(0, units, K):
@@ -676,7 +652,8 @@ def _march_blocks(U, *, factors, D, samples, K, stepwise, history=None, general=
             with np.errstate(over="ignore", invalid="ignore"):
                 pushed = bounds[first:last]  # the forcing bound of each unit
                 if not vector:
-                    previous, ends = _march_states(U, *power[length], Z, coordinates[first:last])
+                    previous, ends = _march_states(U, *power[length],
+                                                   itertools.islice(forcings, last - first))
                     # False for inf or NaN
                     accepted = (ends <= _BLOCK_LIMIT).all() and np.isfinite(pushed).all()
                 else:
@@ -700,116 +677,90 @@ def _march_blocks(U, *, factors, D, samples, K, stepwise, history=None, general=
     return U
 
 
-def _sample_basis(g):
-    """(V, g V^T): an orthonormal basis V of the row space of the samples
-    g, one basis vector a row, and the rows of g in it.
+def _spatial_factors(D, N):
+    """The heads (A^T, B^T) of the forcing stacks of a matrix state whose
+    step is forced by the (m, r) matrix D = A B^T, and the block length K
+    of a run of N steps at D's spatial rank S (see _block_steps); no heads
+    where K = 1.
 
-    The rank counts the singular values above eps max(g.shape) times the
-    largest, of g with each nonzero row scaled to a largest entry of 1:
-    every row then keeps its own accuracy in the basis, however small it is
-    beside the others (a row's part outside the basis is at most
-    eps max(g.shape) sqrt(rows) times its size).  Samples that are not all
-    finite are taken as they stand, V the identity: their blocks' states
-    are then not finite either, and are replayed stepwise.
-    """
-    if not np.isfinite(g).all():
-        return np.eye(g.shape[1]), g
-    size = np.abs(g).max(axis=1)
-    _, s, V = np.linalg.svd(g[size > 0] / size[size > 0, None], full_matrices=False)
-    V = V[:np.count_nonzero(s > np.finfo(float).eps * max(g.shape) * s[:1])]
-    return V, g @ V.T
-
-
-def _spatial_factors(D):
-    """The forcing stacks of a matrix state whose step is forced by the
-    (m, r) matrix D, and their piece length: (XL, XR, w).
-
-    D is factored as A B^T, its spatial rank S the count of singular values
-    above eps max(m, r) times the largest (0 for a zero D).  A small S is
-    found by a checked sketch (Halko, Martinsson & Tropp, SIAM Rev. 53
-    (2011) 217): Q, an orthonormal basis of D Omega for an r x _SKETCH
-    Gaussian Omega drawn on each call from np.random.default_rng(0), and a
-    thin SVD C = U_C s V_C^T of C = Q^T D.  It is taken, A = Q U_C s and
-    B = V_C cut to S, where ||D - Q C||_F <= eps max(m, r) s_1 and the
-    count S from s is below _SKETCH.  D then lies in the range of Q to
-    round-off, so correctness rests on that check, never on the draw.
-    Otherwise S is counted from D's singular values alone, and its singular
-    vectors are taken only where the stacks hold them (w > 1).  A D that is
-    not all finite is taken at full rank, A = D and B = I, so that the
-    blocks it forces are not finite either and are replayed stepwise.  w is
-    the piece length of rank S (see _piece_steps).  The stacks hold L^i A
-    and R^i B for i < w, transposed: rows i S + c.  Only the heads, A^T and
-    B^T, are written here; _march_blocks fills the rest by doubling.  At
-    w = 1 the stacks are empty: a piece of one step is that step's forcing,
-    a multiple of D, which takes no product (see _block_forcing).
+    S is the count of singular values above eps max(m, r) times the
+    largest (0 for a zero D).  A small S is found by a checked sketch
+    (Halko, Martinsson & Tropp, SIAM Rev. 53 (2011) 217): Q, an orthonormal
+    basis of D Omega for an r x _SKETCH Gaussian Omega drawn on each call
+    from np.random.default_rng(0), and a thin SVD C = U_C s V_C^T of
+    C = Q^T D.  It is taken, A = Q U_C s and B = V_C cut to S, where
+    ||D - Q C||_F <= eps max(m, r) s_1 and the count S from s is below
+    _SKETCH.  D then lies in the range of Q to round-off, so correctness
+    rests on that check, never on the draw.  Otherwise S is counted from
+    D's singular values alone, and its singular vectors are taken only
+    where blocks pay at that rank.  A D that is not all finite steps: its
+    first step blows up.  The stacks hold L^i A and R^i B for i < K,
+    transposed: rows i S + c; _march_blocks fills them from the heads by
+    doubling.
     """
     m, r = D.shape
-    tol = np.finfo(float).eps * max(m, r)
-    empty = np.empty((0, m)), np.empty((0, r)), 1
     if not np.isfinite(D).all():
-        At, Bt = D.T, np.eye(r)
-    else:
-        Q = np.linalg.qr(D @ np.random.default_rng(0).standard_normal((r, _SKETCH)))[0]
-        C = Q.T @ D
-        U, s, Bt = np.linalg.svd(C, full_matrices=False)
+        return None, 1
+    tol = np.finfo(float).eps * max(m, r)
+    Q = np.linalg.qr(D @ np.random.default_rng(0).standard_normal((r, _SKETCH)))[0]
+    C = Q.T @ D
+    U, s, Bt = np.linalg.svd(C, full_matrices=False)
+    U, S = Q @ U, np.count_nonzero(s > tol * s[0])
+    if S >= _SKETCH or np.linalg.norm(D - Q @ C) > tol * s[0]:  # no small rank
+        s = np.linalg.svd(D, compute_uv=False)
         S = np.count_nonzero(s > tol * s[0])
-        if S < _SKETCH and np.linalg.norm(D - Q @ C) <= tol * s[0]:
-            At, Bt = s[:S, None] * (Q @ U[:, :S]).T, Bt[:S]
-        else:
-            s = np.linalg.svd(D, compute_uv=False)
-            S = np.count_nonzero(s > tol * s[0])
-            if _piece_steps(m, r, S) == 1:
-                return empty
-            U, s, Vt = np.linalg.svd(D, full_matrices=False)
-            At, Bt = s[:S, None] * U[:, :S].T, Vt[:S]
-    w = _piece_steps(m, r, len(Bt))
-    if w == 1:
-        return empty
-    XL, XR = np.empty((w * len(Bt), m)), np.empty((w * len(Bt), r))
-    XL[:len(Bt)], XR[:len(Bt)] = At, Bt
-    return XL, XR, w
+        if _block_steps(m, N, r, S) > 1:
+            U, s, Bt = np.linalg.svd(D, full_matrices=False)
+    K = _block_steps(m, N, r, S)
+    return (None if K == 1 else (s[:S, None] * U[:, :S].T, Bt[:S])), K
 
 
-def _block_forcing(stacks, D, V, w, power):
-    """Z_j = sum_i V[j, i] L^i D (R^i)^T for each j, from the ``stacks``
-    (XL, XR) of a matrix state forced by D (see _spatial_factors), their w
-    entries of S rows each.
+def _block_forcings(stacks, S, g):
+    """The forcing of each block of a matrix state, for the rows of g, a
+    block's samples each, last step first: sum_i g_i (L^i A)(R^i B)^T from
+    the forcing ``stacks`` (XL, XR) of S rows an entry (see
+    _spatial_factors); 0 for samples that are all zero.
 
-    The k steps of the block go in pieces of w.  The piece from step p on
-    is L^p P (R^p)^T, with P = sum_i V[j, p + i] (L^i A)(R^i B)^T one
-    product of the stacks' heads: (XL^T scaled by V's row) XR; for w = 1,
-    P = V[j, p] D takes no product.  The pieces are joined by Horner
-    through (L^w, R^w) = ``power``, a pair of products each; a block of at
-    most w steps takes one piece and no Horner.  Returns the Z_j
-    flattened, one a row.
+    A block takes one product of its samples with the stacks
+    (_stack_forcing), unless its samples agree, to 1e-12 relative (see
+    _agree), with c times those of the last block that took one, c the
+    ratio of the two blocks' samples where that block's is largest in size:
+    it then takes that block's forcing times c, within 1e-12 of its own
+    forcing bound.  Samples of e^{-t} over a block are those of any earlier
+    block of its length times a constant, so such a run takes one product
+    for each block length; a rough factor takes one for each block.
     """
-    rank, k = V.shape
-    (XL, XR), (Lw, Rw) = stacks, power
-    Z = np.empty((rank,) + D.shape)
-    for j, v in enumerate(V):
-        for p in range((k - 1) // w * w, -1, -w):  # the pieces, the last first
-            if w == 1:
-                piece = v[p] * D if v[p] else 0.0
-            else:
-                scale = np.repeat(v[p:p + w], len(XL) // w)[:, None]
-                piece = (scale * XL[:len(scale)]).T @ XR[:len(scale)]
-            Z[j] = piece if p + w >= k else Lw @ Z[j] @ Rw.T + piece
-    return Z.reshape(rank, D.size)
+    # the last block that took a product: its samples (at first NaN, which
+    # agree with none), the entry of the largest and its forcing
+    samples, peak, forcing = np.full(g.shape[1], np.nan), 0, None
+    for row in g:
+        c = row[peak] / samples[peak]
+        if not row.any():
+            yield 0.0
+        elif _agree(row, c * samples):
+            yield c * forcing
+        else:
+            samples, peak, forcing = row, np.abs(row).argmax(), _stack_forcing(*stacks, S, row)
+            yield forcing
 
 
-def _march_states(U, Lk, Rk, Z, coordinates):
-    """The blocks from U on, one state at a time: U <- Lk U Rk^T plus the
-    forcing c Z of the block's ``coordinates`` c against the flattened
-    maps Z (see _block_forcing); returns the last state and the sup-norm
-    of each."""
-    ends = np.empty(len(coordinates))
-    RkT = Rk.T
-    for b, c in enumerate(coordinates):
-        U = Lk @ U @ RkT
-        if c.any():
-            U += (c @ Z).reshape(U.shape)
-        ends[b] = np.maximum(U.max(), -U.min())  # NaN where U holds one
-    return U, ends
+def _stack_forcing(XL, XR, S, g):
+    """sum_i g_i (L^i A)(R^i B)^T for the samples g of a block, last step
+    first, from the forcing stacks XL, XR, entry i the S rows i S + c:
+    (XL^T scaled by g, each sample S times) XR, one product."""
+    return (np.repeat(g, S)[:, None] * XL[:len(g) * S]).T @ XR[:len(g) * S]
+
+
+def _march_states(U, Lk, Rk, forcings):
+    """The blocks from U on, one state at a time: U <- Lk U Rk^T plus each
+    of ``forcings`` in turn (see _block_forcings); returns the last state
+    and the sup-norm of each."""
+    ends = []
+    for F in forcings:
+        U = Lk @ U @ Rk.T
+        U += F
+        ends.append(np.maximum(U.max(), -U.min()))  # NaN where U holds one
+    return U, np.array(ends)
 
 
 def _fill_groups(groups, U, L, Lq, forced):

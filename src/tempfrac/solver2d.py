@@ -31,12 +31,15 @@ profile is mapped once.
 The run hands the marcher of :mod:`tempfrac.solver1d` the compiled step:
 the factors (L, R) and one forcing term, D = Fx (profile) Fy^T times the
 temporal factor for a separable source, or Fx F(t) Fy^T for a plain
-callable.  How the march takes it, in blocks of K steps with one state in
-flight, and how K is chosen are stated once, in
+callable.  The march takes it in blocks of K steps with one state in
+flight, each block's forcing one product of its own samples with stacks
+of L^i A and R^i B, D = A B^T of spatial rank S, by the rule of a 1D
+block; that rule and the one for K (K S < m + r) are stated once, in
 :func:`~tempfrac.solver1d._march_blocks` and
 :func:`~tempfrac.solver1d._block_steps`.  A run with a plain-callable
-source, a run too short for blocks to pay, and any chunk of blocks whose
-growth bound comes near the blowup limit take it one step at a time.  The
+source, a run too short for blocks to pay, a profile of full spatial rank
+on a square grid, and any chunk of blocks whose growth bound comes near
+the blowup limit take it one step at a time.  The
 stages are built and the march runs on one BLAS thread (see
 :mod:`tempfrac._blas`).
 """

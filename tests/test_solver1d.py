@@ -286,19 +286,6 @@ def manufactured_spec(side, alpha, M, N):
     return case.build_spec(1.0 / M)(N)
 
 
-# the rank at K of the samples of a run's blocks of K steps, where the run has
-# more such blocks than K
-RANKS = {"zero": lambda K: 0, "exp": lambda K: 1, "cos": lambda K: 2, "rough": lambda K: K}
-
-
-def rank_samples(kind, N):
-    """The samples, one row a step, of a temporal factor whose blocks have
-    the rank RANKS[kind]: zero, e^{-t}, cos(20 t) or a seeded table."""
-    t = (np.arange(N) + 0.5) / N
-    return {"zero": np.zeros(N), "exp": np.exp(-t), "cos": np.cos(20.0 * t),
-            "rough": np.random.default_rng(1).standard_normal(N)}[kind][:, None]
-
-
 class TestBlockMarching:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -400,74 +387,44 @@ class TestBlockMarching:
         (39, 6400, 1, 64),  # at most _BLOCK
         (9, 6400, 1, 64),  # no bound by the size of the state
         (599, 30000, 1, 64),
-        (159, 100, 159, 8),  # matrix states at w = 1: K^2 <= N
-        (119, 100, 119, 8),
-        (79, 716, 79, 16),
-        (319, 5724, 319, 64),
-        (39, 6400, 159, 64),  # a rectangle
     ])
     def test_block_length_is_the_largest_power_of_two_that_fits(self, m, N, r, K):
-        # wherever compiling pays, one rule: the largest power of two up to
-        # _BLOCK = 64 with r_K K ceil(K / w) <= N, here K^2 <= N: r_K = 1
-        # without a sample rank and w = 1 without a spatial one
+        # wherever compiling pays, a vector state takes the largest power of
+        # two up to _BLOCK = 64 with K^2 <= N
         fits = [k for k in (1, 2, 4, 8, 16, 32, 64) if k * k <= N]
         assert solver1d._block_steps(m, N, r) == max(fits) == K
 
-    @pytest.mark.parametrize("kind,w,K", [
-        ("zero", 1, 64),  # no forcing: K^2 <= N
-        ("exp", 1, 64),  # e^{-t}, rank 1: K^2 <= N
-        ("cos", 1, 32),  # cos(w t), rank 2: 2 K^2 <= N
-        ("rough", 1, 16),  # rough samples at full rank: K^3 <= N
-        ("cos", 2, 64),  # pieces of w = 2 steps (S = 80): 2 K ceil(K / 2) <= N
-        ("rough", 2, 16),  # K^2 ceil(K / 2) <= N
-        ("cos", 64, 64),  # ex5_3's profile (S = 2), pieces of w = 64: 2 K <= N
-        ("rough", 64, 64),  # K^2 <= N
-    ], ids=["zero", "rank 1", "rank 2", "full rank", "rank 2, w = 2", "full rank, w = 2",
-            "rank 2, w = 64", "full rank, w = 64"])
-    def test_block_length_is_priced_by_the_sample_rank(self, kind, w, K):
-        # a matrix state's forcing takes, for each of r_K basis vectors, one
-        # product a piece of w steps and a pair of Horner products joining
-        # the pieces, so r_K K ceil(K / w) <= N, w the largest power of two
-        # with w S <= max(m, r); at M = 320 and tau = h^1.5, where a forcing
-        # of full spatial rank (S = m) takes pieces of one step.  The samples
-        # of the run's blocks of K steps have rank 0, 1, 2 and K
-        N = 5724
-        samples = rank_samples(kind, N)
-        assert [len(solver1d._sample_basis(samples[:N // k * k].reshape(N // k, k))[0])
-                for k in (16, 32, 64)] == [RANKS[kind](k) for k in (16, 32, 64)]
-        assert solver1d._block_steps(319, N, 319, w, samples) == K
-
-    @pytest.mark.parametrize("m,r,S,w", [
-        (159, 159, 2, 64),  # ex5_3 at M = 160: 128 rows a stack
-        (128, 100, 2, 64),  # w S = max(m, r) fits
-        (127, 127, 2, 32),
-        (9, 9, 2, 4),
-        (3, 40, 2, 16),  # the larger dimension counts
-        (9, 9, 0, 64),  # no forcing: at most _BLOCK
-        (9, 9, 9, 1),  # full spatial rank
-        (9, 9, 30, 1),  # at least 1
+    @pytest.mark.parametrize("m,N,r,S,K", [
+        (9, 32, 9, 2, 8),  # ex5_3 (S = 2) at the converge levels, tau = h^1.5
+        (19, 90, 19, 2, 16),
+        (39, 253, 39, 2, 32),
+        (79, 716, 79, 2, 64),
+        (119, 100, 119, 2, 64),  # the direct solves at M = 120 and 160
+        (159, 100, 159, 2, 64),
+        (319, 5724, 319, 2, 64),
+        (159, 40, 159, 2, 32),  # K <= N
+        (639, 16191, 639, 2, 64),
+        (39, 6400, 159, 2, 64),  # a rectangle
+        (3, 200, 40, 2, 16),  # m + r counts, not the smaller dimension
+        (9, 300, 9, 0, 64),  # no forcing: the longest block any forcing allows
+        (159, 100, 159, 8, 32),  # 8 K < m + r
+        (159, 100, 159, 80, 2),  # a block of two steps pays where 2 S < m + r
+        (63, 1000, 65, 4, 16),  # K S = m + r does not fit
+        (39, 6400, 159, 39, 4),  # full spatial rank on a rectangle
+        (159, 100, 159, 159, 1),  # full spatial rank on a square: no block pays
+        (9, 300, 9, 9, 1),
     ])
-    def test_piece_length_is_the_largest_power_of_two_that_fits(self, m, r, S, w):
-        assert solver1d._piece_steps(m, r, S) == w
-
-    @pytest.mark.parametrize("m,N,w,K", [
-        (9, 32, 4, 8),  # the converge levels of ex5_3 at tau = h^1.5, M = 10 to 80
-        (19, 90, 8, 16),
-        (39, 253, 16, 32),
-        (79, 716, 32, 64),
-        (119, 100, 32, 32),  # the direct solves at M = 120 and 160
-        (159, 100, 64, 64),
-    ])
-    def test_2d_study_takes_long_blocks(self, m, N, w, K):
-        # ex5_3's e^{-t} (r_K = 1) on its profile of spatial rank 2: pieces
-        # of 4, 8, 16, 32, 32 and 64 steps
-        assert solver1d._piece_steps(m, m, 2) == w
-        assert solver1d._block_steps(m, N, m, w, rank_samples("exp", N)) == K
+    def test_matrix_block_length_is_priced_by_the_spatial_rank(self, m, N, r, S, K):
+        # the largest power of two up to _BLOCK with K <= N and K S < m + r:
+        # a block's forcing, one product with stacks of K S rows, then costs
+        # less than one step
+        fits = [k for k in (1, 2, 4, 8, 16, 32, 64) if k == 1 or k <= N and k * S < m + r]
+        assert solver1d._block_steps(m, N, r, S) == max(fits) == K
 
     def test_a_1d_run_takes_no_svd(self):
-        # a vector state prices its blocks without the rank of its samples:
-        # ex5_1 at the study1d size, M = 40 and tau = h^3, marches in blocks
-        # of 64 steps without an SVD
+        # a vector state prices its blocks without any rank: ex5_1 at the
+        # study1d size, M = 40 and tau = h^3, marches in blocks of 64 steps
+        # without an SVD
         spec = case_ex5_1(1.5, 1.0, j=5).build_spec(1.0 / 40)(6400)
         assert solver1d._block_steps(39, 6400) == 64
         with mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd:

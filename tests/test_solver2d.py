@@ -187,37 +187,37 @@ class TestBlockMarching:
         # block size applies
         N = math.ceil(M**1.5)
         spec = case_ex5_3(alpha, beta, 0.1, 0.1).build_spec(1.0 / M)(N)
-        assert solver1d._block_steps(M - 1, N, M - 1) > 1
+        assert solver1d._block_steps(M - 1, N, M - 1, 2) > 1
         with block_steps(1):
             ref = solve_adi(spec).values
         got = solve_adi(spec).values
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_wide_square_run_marches_in_one_block_of_64(self):
-        # 259 unknowns a direction and 64 steps of a rank-1 factor on ex5_3's
-        # profile of spatial rank 2: pieces of w = 64 steps, so K <= N gives
-        # one block of 64, its forcing one product of the stacks' heads
+        # 259 unknowns a direction and 64 steps on ex5_3's profile of spatial
+        # rank 2: K <= N and 2 K < m + r give one block of 64, its forcing
+        # one product of its samples with the stacks
         spec = case_ex5_3(1.5, 1.5, 1.0, 1.0).build_spec(1.0 / 260)(64)
-        samples = np.exp(-(np.arange(64) + 0.5) * spec.time.tau)[:, None]
-        assert solver1d._block_steps(259, 64, 259, 64, samples) == 64
+        assert solver1d._block_steps(259, 64, 259, 2) == 64
         with block_steps(1):
             ref = solve_adi(spec).values
-        with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
+        with products_counted() as products, \
+                mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
             got = solve_adi(spec).values
         assert blocks.call_args.kwargs["K"] == 64
-        XL, _, w = blocks.call_args.kwargs["stacks"]
-        assert w == 64 and len(XL) == 64 * 2  # S = 2, the forcing's spatial rank
+        At, Bt = blocks.call_args.kwargs["heads"]
+        assert len(At) == len(Bt) == 2  # S = 2, the forcing's spatial rank
+        assert products.call_count == 1
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("N,svds", [(8, 0), (253, 4)])
+    @pytest.mark.parametrize("N,svds", [(8, 0), (253, 1)])
     def test_no_svd_is_taken_below_the_break_even_gate(self, N, svds):
         # ex5_3 at M = 40 pays for blocks from N = 12 on: below, the run
-        # steps without factoring its forcing or taking the rank of its
-        # samples.  At N = 253 one SVD factors the forcing, one prices
-        # K = 32 (K = 64 fails on its piece count alone), and one gives the
-        # basis of each block length, 32 and 29
+        # steps without factoring its forcing.  At N = 253 one SVD, of the
+        # sketch's 8 x 39 matrix, factors the forcing; no rank of the
+        # samples is taken
         spec = case_ex5_3(1.2, 1.5, 0.1, 0.1).build_spec(1.0 / 40)(N)
-        assert (solver1d._block_steps(39, N, 39) > 1) == (N >= 12)
+        assert (solver1d._block_steps(39, N, 39, 0) > 1) == (N >= 12)
         with mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd:
             solve_adi(spec)
         assert svd.call_count == svds
@@ -253,7 +253,7 @@ class TestBlockMarching:
     def test_unstable_rate_blows_up_at_the_same_step(self, K):
         # lam*h = 5 along both axes; step 34 is the stepwise sweeps' verdict
         spec = case_ex5_3(1.9, 1.9, 50.0, 50.0).build_spec(0.1)(1000)
-        assert solver1d._block_steps(9, 1000, 9) > 1
+        assert solver1d._block_steps(9, 1000, 9, 2) > 1
         with block_steps(K), pytest.warns(RuntimeWarning, match="lam\\*h"):
             with pytest.raises(BlowupError) as err:
                 solve_adi(spec)
@@ -273,71 +273,157 @@ def temporal_factor(kind, omega, seed, time):
     return lambda t: np.interp(t, times, table)
 
 
-# the sample rank of each kind of factor at block length K, where the run
-# has at least that many blocks of K steps
-SAMPLE_RANKS = {"exp": lambda K: 1, "cos": lambda K: 2, "rough": lambda K: K}
+FACTORS = ["cos", "exp", "rough"]
 
 
+def block_length(m, r, N, S):
+    """The block length of a run of N steps on an (m, r) state forced at
+    spatial rank S, past the break-even gate: the largest power of two up
+    to 64 with K <= N and K S < m + r."""
+    return max(k for k in (1, 2, 4, 8, 16, 32, 64) if k == 1 or k <= N and k * S < m + r)
+
+
+@contextlib.contextmanager
 def replays_recorded(replays, spatial=None):
     """Patch _march_blocks to record the (start, stop) of each chunk it
     replays stepwise, and the block length it runs with; and in
-    ``spatial``, when given, the rows of the run's left forcing stack (w S
-    for a spatial rank S, none at w = 1) and their piece length w."""
-    march = solver1d._march_blocks
+    ``spatial``, when given, the spatial rank S of the run's forcing and
+    the block length K that _spatial_factors gives (S None where it takes
+    no heads)."""
+    march, factors = solver1d._march_blocks, solver1d._spatial_factors
 
-    def spy(U, *, K, stepwise, stacks, **kwargs):
+    def spy(U, *, K, stepwise, **kwargs):
         def recorded(U, start, stop):
             replays.append((start, stop))
             return stepwise(U, start, stop)
         replays.append(K)
-        if spatial is not None:
-            spatial.append((len(stacks[0]), stacks[2]))
-        return march(U, K=K, stepwise=recorded, stacks=stacks, **kwargs)
+        return march(U, K=K, stepwise=recorded, **kwargs)
 
-    return mock.patch.object(solver1d, "_march_blocks", spy)
+    def found(D, N):
+        heads, K = factors(D, N)
+        spatial.append((None if heads is None else len(heads[0]), K))
+        return heads, K
+
+    with mock.patch.object(solver1d, "_march_blocks", spy):
+        if spatial is None:
+            yield
+        else:
+            with mock.patch.object(solver1d, "_spatial_factors", found):
+                yield
+
+
+def products_counted():
+    """Patch _stack_forcing to count the block forcings formed by a
+    product with the stacks."""
+    return mock.patch.object(solver1d, "_stack_forcing", wraps=solver1d._stack_forcing)
+
+
+def with_factor(spec, factor):
+    """``spec`` with its separable source's temporal factor replaced."""
+    return ProblemSpec2D(**{**spec.__dict__,
+                            "source": SeparableSource(spec.source.profile, factor)})
 
 
 class TestSampleRank:
-    """2D blocks carry their forcing in the row space of the blocks'
-    temporal samples, one state in flight; the block length is priced by
-    that rank."""
+    """2D blocks take their forcing from their own samples, whatever their
+    rank, one state in flight; a block whose samples are a multiple of an
+    earlier block's takes that block's forcing times the multiple."""
 
     @settings(max_examples=20, deadline=None)
-    @given(kind=st.sampled_from(sorted(SAMPLE_RANKS)), omega=st.floats(1.0, 30.0),
+    @given(kind=st.sampled_from(FACTORS), omega=st.floats(1.0, 30.0),
            alpha=ORDERS, beta=ORDERS, lam_hx=LAM_H, lam_hy=LAM_H, Mx=st.integers(4, 12),
            My=st.integers(4, 12), N=st.integers(40, 1500), seed=st.integers(0, 2**16))
     def test_blocks_equal_single_steps_at_every_sample_rank(self, kind, omega, alpha, beta,
                                                             lam_hx, lam_hy, Mx, My, N, seed):
-        # K is the largest power of two up to 64 with r_K K ceil(K / w) <= N,
-        # r_K the sample rank at K and w the piece length of the profile's
-        # spatial rank S; a leftover block of N mod K steps may follow
+        # K is the largest power of two up to 64 with K <= N and K S < m + r,
+        # S the profile's spatial rank, whatever the factor; a leftover block
+        # of N mod K steps may follow
         spec = random_spec2d(alpha, beta, lam_hx, lam_hy, Mx, My, N, *polynomials(seed))
-        source = SeparableSource(spec.source.profile, temporal_factor(kind, omega, seed, spec.time))
-        spec = ProblemSpec2D(**{**spec.__dict__, "source": source})
+        spec = with_factor(spec, temporal_factor(kind, omega, seed, spec.time))
         with block_steps(1):
             ref = solve_adi(spec).values
         replays, spatial = [], []
         with replays_recorded(replays, spatial):
             got = solve_adi(spec).values
-        _, w = spatial[0]
-        K = max(k for k in (1, 2, 4, 8, 16, 32, 64)
-                if max(1, min(SAMPLE_RANKS[kind](k), N // k)) * k * -(-k // w) <= N)
+        [(S, K)] = spatial
+        assume(K > 1)
+        assert K == block_length(Mx - 1, My - 1, N, S)
         assert replays == [K]  # no chunk replayed
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_each_block_keeps_its_own_accuracy_in_the_basis(self):
-        # rows of size 1 along one direction and of size 1e-20 along
-        # another: the small rows keep their direction (rank 2) and come
-        # back to round-off of their own size, not of the largest row's
-        rng = np.random.default_rng(3)
-        a, b = rng.standard_normal((2, 16))
-        g = np.vstack([np.outer(rng.uniform(0.5, 2.0, 20), a),
-                       np.outer(rng.uniform(0.5, 2.0, 20), 1e-20 * b)])
-        V, coordinates = solver1d._sample_basis(g)
-        assert len(V) == 2
-        assert np.allclose(V @ V.T, np.eye(2), rtol=0.0, atol=1e-14)
-        off = np.max(np.abs(coordinates @ V - g), axis=1) / np.max(np.abs(g), axis=1)
-        assert off.max() <= 1e-14
+    @pytest.mark.parametrize("kind,products", [("exp", 2), ("rough", 32)])
+    def test_a_block_takes_a_product_only_for_new_samples(self, kind, products):
+        # ex5_3 at M = 40, N = 1000: 31 blocks of K = 32 and a leftover of 8.
+        # The samples of e^{-t} over a block are those of the first block of
+        # its length times a constant: one product for each length.  A rough
+        # factor's are not: one product a block
+        spec = case_ex5_3(1.2, 1.5, 0.1, 0.1).build_spec(1.0 / 40)(1000)
+        spec = with_factor(spec, temporal_factor(kind, 0.0, 3, spec.time))
+        with block_steps(1):
+            ref = solve_adi(spec).values
+        replays = []
+        with replays_recorded(replays), products_counted() as counted:
+            got = solve_adi(spec).values
+        assert replays == [32]
+        assert counted.call_count == products
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind,products", [("noise", 2), ("kink", 4), ("sin", None),
+                                               ("growth", 2)])
+    def test_reused_forcing_keeps_to_single_steps(self, kind, products):
+        # e^{-t} with a multiplicative noise of 1e-13 (blocks that agree to
+        # 1e-12 reuse the first block's forcing), e^{-t} with a kink of 1e-9
+        # at step 300 (its block and the next take their own products), a
+        # sine that is 0 at the first step and changes sign every block, and
+        # e^{t}, whose later blocks take the first one's forcing times more
+        # than 1
+        N = 1000
+        spec = case_ex5_3(1.2, 1.5, 0.1, 0.1).build_spec(1.0 / 40)(N)
+        tau = spec.time.tau
+        times = (np.arange(N) + 0.5) * tau
+        table = np.exp(-times)
+        if kind == "noise":
+            table *= 1.0 + 1e-13 * np.random.default_rng(4).uniform(-1.0, 1.0, N)
+        elif kind == "kink":
+            table[300] *= 1.0 + 1e-9
+        elif kind == "sin":
+            table = np.sin(np.pi / (32 * tau) * (times - times[0]))
+            assert table[0] == 0.0
+        else:
+            table = np.exp(times)
+        spec = with_factor(spec, lambda t: np.interp(t, times, table))
+        with block_steps(1):
+            ref = solve_adi(spec).values
+        replays = []
+        with replays_recorded(replays), products_counted() as counted:
+            got = solve_adi(spec).values
+        assert replays == [32]
+        assert products is None or counted.call_count == products
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("zeros,products", [("first half", 3), ("second half", 2),
+                                                ("every other block", 1)])
+    def test_blocks_of_zero_samples_take_no_product(self, zeros, products):
+        # e^{-t} set to 0 on steps 0 to 499, on steps 500 on, or on every
+        # other block of 32 steps (the leftover of 8 among them): a block of
+        # zero samples adds nothing and is no block to reuse; a block of
+        # some zero samples takes its own product
+        N = 1000
+        spec = case_ex5_3(1.2, 1.5, 0.1, 0.1).build_spec(1.0 / 40)(N)
+        times = (np.arange(N) + 0.5) * spec.time.tau
+        steps = np.arange(N)
+        zero = {"first half": steps < 500, "second half": steps >= 500,
+                "every other block": steps // 32 % 2 == 1}[zeros]
+        table = np.where(zero, 0.0, np.exp(-times))
+        spec = with_factor(spec, lambda t: np.interp(t, times, table))
+        with block_steps(1):
+            ref = solve_adi(spec).values
+        replays = []
+        with replays_recorded(replays), products_counted() as counted:
+            got = solve_adi(spec).values
+        assert replays == [32]
+        assert counted.call_count == products
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_a_spike_replays_its_chunk_and_later_chunks_are_accepted(self):
         # a sample of 1e28 at step 300 pushes the growth bound past the
@@ -360,54 +446,55 @@ class TestSampleRank:
         replays = []
         with replays_recorded(replays), block_steps(16):
             got = solve_adi(spec).values
-        # blocks of 16 steps, chunks of 256: the run's own K (32) would put
-        # all of it in one chunk
+        # blocks of 16 steps, the run's own K, in chunks of 256
         assert replays == [16, (256, 512)]
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("K", [1, None])
     def test_a_non_finite_sample_blows_up_at_its_step(self, K):
         # the factor is inf from the source time of step 151, (150 + 1/2)
-        # tau, on: no basis is taken of such samples, and the chunk holding
-        # it is replayed to that step
+        # tau, on: the forcing of the block holding it is not finite, and
+        # the chunk holding that block is replayed to that step
         spec = random_spec2d(1.5, 1.5, 0.5, 0.5, 10, 10, 400, *polynomials(5))
         tau = spec.time.tau
-        source = SeparableSource(spec.source.profile,
-                                 lambda t: np.where(t > 150 * tau, np.inf, np.exp(-t)))
-        spec = ProblemSpec2D(**{**spec.__dict__, "source": source})
+        spec = with_factor(spec, lambda t: np.where(t > 150 * tau, np.inf, np.exp(-t)))
         with block_steps(K), pytest.raises(BlowupError) as err:
             solve_adi(spec)
         assert err.value.step == 151
 
-    @pytest.mark.parametrize("profile", ["ex5_3", "full rank"])
+    @pytest.mark.parametrize("profile", ["ex5_3", "rough factor", "full rank"])
     def test_memory_holds_no_term_in_the_block_length(self, profile):
         # ex5_3 at M = 160, N = 100 runs in one block of 64 steps and a
         # leftover block of 36: its profile has spatial rank 2, so its
-        # forcing stacks hold 64 entries of two rows of m floats each.  A
-        # seeded random profile of full spatial rank takes pieces of one
-        # step, each the step's own forcing, so it keeps no stack, and
-        # K^2 <= N: blocks of 8 and a leftover of 4.  The bound, set for
-        # blocks of 8 by Horner, stays: each direction's LU factor and
-        # applied stage matrix, L and R, six squarings, the forcing maps and
-        # the node fields X, Y and U0, then eight m x m matrices and eight
-        # floats a step.  In place of the
-        # squarings the run now holds the powers its blocks take and the
-        # squaring being formed; besides, the mapped profile D, the stacks,
-        # the map Z, the state a chunk starts from, the state in flight and
-        # two temporaries of a block step
-        m, N = 159, 100
+        # forcing stacks hold 64 entries of two rows of m floats each.  With
+        # a rough factor at N = 4096 each of 64 blocks takes its own product
+        # with those stacks, and the march keeps one block's forcing at a
+        # time.  A seeded random profile of full spatial rank steps.  The
+        # bound, set for blocks of 8 by Horner, stays: each direction's LU
+        # factor and applied stage matrix, L and R, six squarings, the
+        # forcing maps and the node fields X, Y and U0, then eight m x m
+        # matrices and eight floats a step.  In place of the squarings the
+        # run now holds the powers its blocks take and the squaring being
+        # formed; besides, the mapped profile D, the stacks, the forcing of
+        # the last block that took a product and of the block in flight,
+        # the state a chunk starts from, the state in flight and two
+        # temporaries of a block step
+        m, N = 159, 4096 if profile == "rough factor" else 100
         spec = case_ex5_3(1.2, 1.5, 1.0, 1.0).build_spec(1.0 / (m + 1))(N)
-        K = 64
+        if profile == "rough factor":
+            spec = with_factor(spec, temporal_factor("rough", 0.0, 1, spec.time))
         if profile == "full rank":
             table = np.random.default_rng(1).standard_normal((m + 2, m + 2))
             source = SeparableSource(lambda X, Y: table, spec.source.temporal)
-            spec, K = ProblemSpec2D(**{**spec.__dict__, "source": source}), 8
+            spec = ProblemSpec2D(**{**spec.__dict__, "source": source})
         # imports and caches outside the measurement
         with mock.patch.object(solver1d, "_march_blocks", wraps=solver1d._march_blocks) as blocks:
             solve_adi(spec)
-        assert blocks.call_args.kwargs["K"] == K
-        # rows of the left stack: none where a piece is one step
-        assert len(blocks.call_args.kwargs["stacks"][0]) == (128 if K == 64 else 0)
+        if profile == "full rank":
+            assert not blocks.called
+        else:
+            assert blocks.call_args.kwargs["K"] == 64
+            assert [len(H) for H in blocks.call_args.kwargs["heads"]] == [2, 2]
         tracemalloc.start()
         try:
             solve_adi(spec)
@@ -429,18 +516,15 @@ def spatial_profile(kind, seed):
     return lambda spec: lambda X, Y: np.random.default_rng(seed).standard_normal(X.shape)
 
 
-def svd_factors(D):
-    """The forcing stacks of D from a full SVD, the rank counted as
-    _spatial_factors counts it: the reference for its checked sketch."""
+def svd_factors(D, N):
+    """The heads of the forcing stacks of D from a full SVD and the block
+    length, the rank counted as _spatial_factors counts it: the reference
+    for its checked sketch."""
     m, r = D.shape
     U, s, Vt = np.linalg.svd(D, full_matrices=False)
     S = np.count_nonzero(s > np.finfo(float).eps * max(m, r) * s[:1])
-    w = solver1d._piece_steps(m, r, S)
-    if w == 1:
-        return np.empty((0, m)), np.empty((0, r)), w
-    XL, XR = np.empty((w * S, m)), np.empty((w * S, r))
-    XL[:S], XR[:S] = s[:S, None] * U[:, :S].T, Vt[:S]
-    return XL, XR, w
+    K = solver1d._block_steps(m, N, r, S)
+    return (None if K == 1 else (s[:S, None] * U[:, :S].T, Vt[:S])), K
 
 
 def svd_shapes():
@@ -457,45 +541,50 @@ def svd_shapes():
 
 class TestSpatialRank:
     """2D blocks take their forcing from thin stacks of the profile's
-    spatial factors, L^i A and R^i B, in pieces of w steps."""
+    spatial factors, L^i A and R^i B, K entries of S rows each."""
 
     @pytest.mark.parametrize("m", [9, 39, 159])
     @pytest.mark.parametrize("rank", [0, 1, 2, 3, 7, 8, 9, "full"])
     def test_the_sketch_keeps_the_rank_of_the_full_svd(self, m, rank):
-        # S, as priced by _piece_steps, is the full SVD's count: below 8 from
+        # S, as priced by _block_steps, is the full SVD's count: below 8 from
         # the sketch alone, with no SVD of D; from 8 on from the singular
-        # values of D, its vectors taken only where w > 1
+        # values of D, its vectors taken only where blocks pay at that rank
         rng = np.random.default_rng(m)
-        r = m + 3
+        r, N = m + 3, 1000
         S = m if rank == "full" else rank
         D = rng.standard_normal((m, S)) @ rng.standard_normal((S, r))
-        want = svd_factors(D)
-        assert len(want[0]) == (want[2] * S if want[2] > 1 else 0)  # the SVD's count is S
+        want, K = svd_factors(D, N)
+        assert K == block_length(m, r, N, S)  # the SVD's count is S
         calls, patch = svd_shapes()
-        with patch, mock.patch.object(solver1d, "_piece_steps",
-                                      wraps=solver1d._piece_steps) as pieces:
-            XL, XR, w = solver1d._spatial_factors(D)
-        assert {call.args[2] for call in pieces.call_args_list} == {S}
-        assert w == want[2] and XL.shape == want[0].shape and XR.shape == want[1].shape
+        with patch, mock.patch.object(solver1d, "_block_steps",
+                                      wraps=solver1d._block_steps) as steps:
+            heads, got_K = solver1d._spatial_factors(D, N)
+        assert {call.args[3] for call in steps.call_args_list} == {S}
+        assert got_K == K
+        assert (heads is None) == (want is None) == (K == 1)
         of_D = [uv for shape, uv in calls if shape == (m, r)]
-        assert of_D == ([] if S < 8 else [False, True] if w > 1 else [False])
-        if w > 1:  # A B^T within the bounds of the rank's cut and of the check
-            off = np.linalg.norm(XL[:S].T @ XR[:S] - D, 2)
+        assert of_D == ([] if S < 8 else [False, True] if K > 1 else [False])
+        if heads is not None:  # A B^T within the bounds of the rank's cut and of the check
+            At, Bt = heads
+            assert At.shape == want[0].shape and Bt.shape == want[1].shape
+            off = np.linalg.norm(At.T @ Bt - D, 2)
             assert off <= 2.0 * np.finfo(float).eps * max(m, r) * np.linalg.norm(D, 2)
 
     def test_a_full_rank_profile_takes_no_singular_vectors(self):
-        # a seeded table at M = 160: pieces of one step, so the run needs
-        # D's rank alone, and its final state is that of the full SVD's
+        # a seeded table at M = 160: no block of two steps pays at S = m = r,
+        # so the run needs D's rank alone and steps, to the stepwise bytes
         m, N = 159, 100
         spec = case_ex5_3(1.2, 1.5, 1.0, 1.0).build_spec(1.0 / (m + 1))(N)
         table = np.random.default_rng(1).standard_normal((m + 2, m + 2))
         spec = ProblemSpec2D(**{**spec.__dict__,
                                 "source": SeparableSource(lambda X, Y: table, np.exp)})
         calls, patch = svd_shapes()
-        with patch:
+        with patch, mock.patch.object(solver1d, "_march_blocks",
+                                      wraps=solver1d._march_blocks) as blocks:
             got = solve_adi(spec).values
         assert ((m, m), False) in calls and ((m, m), True) not in calls
-        with mock.patch.object(solver1d, "_spatial_factors", svd_factors):
+        assert not blocks.called
+        with block_steps(1):
             want = solve_adi(spec).values
         assert np.array_equal(got, want)
 
@@ -513,20 +602,17 @@ class TestSpatialRank:
 
     @settings(max_examples=30, deadline=None)
     @given(profile=st.sampled_from(["rank 1", "rank 2", "random"]),
-           kind=st.sampled_from(sorted(SAMPLE_RANKS)), omega=st.floats(1.0, 30.0),
+           kind=st.sampled_from(FACTORS), omega=st.floats(1.0, 30.0),
            alpha=ORDERS, beta=ORDERS, lam_hx=LAM_H, lam_hy=LAM_H, Mx=st.integers(4, 24),
            My=st.integers(4, 24), N=st.integers(40, 1500), seed=st.integers(0, 2**16))
     def test_blocks_equal_single_steps_at_every_spatial_rank(self, profile, kind, omega, alpha,
                                                              beta, lam_hx, lam_hy, Mx, My, N,
                                                              seed):
-        # S = 1, 2 or min(m, r), w the largest power of two with
-        # w S <= max(m, r), and K the largest power of two up to 64 with
-        # r_K K ceil(K / w) <= N; a leftover block of N mod K steps follows
+        # S = 1, 2 or min(m, r), and K the largest power of two up to 64 with
+        # K <= N and K S < m + r; a leftover block of N mod K steps follows
         m, r = Mx - 1, My - 1
         S = {"rank 1": 1, "rank 2": 2, "random": min(m, r)}[profile]
-        w = solver1d._piece_steps(m, r, S)
-        K = max(k for k in (1, 2, 4, 8, 16, 32, 64)
-                if max(1, min(SAMPLE_RANKS[kind](k), N // k)) * k * -(-k // w) <= N)
+        K = block_length(m, r, N, S)
         assume(K > 1 and N % K)
         spec = random_spec2d(alpha, beta, lam_hx, lam_hy, Mx, My, N, *polynomials(seed))
         source = SeparableSource(spatial_profile(profile, seed)(spec),
@@ -537,14 +623,13 @@ class TestSpatialRank:
         replays, spatial = [], []
         with replays_recorded(replays, spatial):
             got = solve_adi(spec).values
-        assert spatial == [(w * S if w > 1 else 0, w)]
+        assert spatial == [(S, K)]
         assert replays == [K]  # no chunk replayed
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("K", [1, None])
     def test_a_non_finite_profile_blows_up_at_step_1(self, K):
-        # such a D is taken at full rank, A = D and B = I: the first chunk's
-        # states are not finite, and it is replayed to the first step
+        # such a D takes no blocks: the run steps, and its first step blows up
         spec = random_spec2d(1.5, 1.5, 0.5, 0.5, 10, 10, 400, *polynomials(5))
         polynomial = spec.source.profile
 
@@ -558,9 +643,9 @@ class TestSpatialRank:
             solve_adi(spec)
         assert err.value.step == 1
 
-    @pytest.mark.parametrize("kind", sorted(SAMPLE_RANKS))
+    @pytest.mark.parametrize("kind", FACTORS)
     def test_a_zero_profile_stays_exactly_zero(self, kind):
-        # S = 0: pieces of 64 steps, no stack rows and no forcing at all
+        # S = 0: blocks of 64 steps, no stack rows and no forcing at all
         spec = zero_spec2d(N=300)
         source = SeparableSource(lambda X, Y: np.zeros_like(X),
                                  temporal_factor(kind, 3.0, 1, spec.time))
