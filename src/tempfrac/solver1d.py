@@ -36,12 +36,12 @@ stage matrices are served by size and regime, in one place
 is LU-factored once, in place; from 600 unknowns on where lam*h <= 1, the
 range in which every stage matrix that is solved is positive real, a solve
 uses two generators found once and the Gohberg-Semencul formula, every
-product one FFT (O(m log m) a step instead of O(m^2), no dense matrix).  The
-generators come from GMRES preconditioned with Strang's circulant and
-refined against residuals taken in extended precision, each residual both
-the stop test and the certificate, O(m log m) as well; a pair that fails
-to certify its residual is replaced by Levinson's (O(m^2)).  All of them
-act column by column on matrices.
+product one FFT (O(m log m) a step instead of O(m^2), no dense matrix).  A
+solved stage matrix is Hessenberg, and the generators come from its
+symbol's Wiener-Hopf factor, a direct solve in O(m log m) as well, refined
+against a residual taken in extended precision that certifies them (see
+``_generators``); a pair that fails to certify is replaced by Levinson's
+(O(m^2)).  All of them act column by column on matrices.
 One marcher then takes one of two paths:
 
 * stepwise: the step itself, one step at a time: the stages of a 1D
@@ -108,7 +108,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import lu_factor, lu_solve, solve_toeplitz, toeplitz
+from scipy.linalg import lu_factor, lu_solve, solve_banded, solve_toeplitz, toeplitz
 
 from ._blas import single_thread
 from .calculus import TemperedParams, tempered_weights
@@ -136,12 +136,10 @@ _SKETCH = 8
 # stage matrices of at least this dimension are solved and applied through
 # their Toeplitz structure where lam*h <= 1 (see _toeplitz_map)
 _TOEPLITZ_DIM = 600
-# the two generators of such a solve come from GMRES (see _krylov_generators)
-# where each call meets _GMRES_TOL within _GMRES_CAP iterations and, within
-# _REFINEMENTS refinements, a refined residual taken in _EXTENDED precision
-# is at most _GENERATOR_RESIDUAL; otherwise from Levinson
-_GMRES_TOL = 1e-10
-_GMRES_CAP = 12
+# the two generators of such a solve come from the Wiener-Hopf factor of
+# the Hessenberg stage matrix (see _generators) where, within _REFINEMENTS
+# refinements, a refined residual taken in _EXTENDED precision is at most
+# _GENERATOR_RESIDUAL; otherwise from Levinson
 _REFINEMENTS = 3
 _GENERATOR_RESIDUAL = 1e-15
 _EXTENDED = np.longdouble
@@ -722,13 +720,15 @@ def _block_forcings(stacks, S, g):
     _spatial_factors); 0 for samples that are all zero.
 
     A block takes one product of its samples with the stacks
-    (_stack_forcing), unless its samples agree, to 1e-12 relative (see
-    _agree), with c times those of the last block that took one, c the
-    ratio of the two blocks' samples where that block's is largest in size:
-    it then takes that block's forcing times c, within 1e-12 of its own
-    forcing bound.  Samples of e^{-t} over a block are those of any earlier
-    block of its length times a constant, so such a run takes one product
-    for each block length; a rough factor takes one for each block.
+    (_stack_forcing), unless they differ from c times those of the last
+    block that took one by at most 1e-12 of their largest, c the ratio of
+    the two blocks' samples where that block's is largest in size: it then
+    takes that block's forcing times c, within 1e-12 of its largest sample
+    times the stacks' norm.  Samples of e^{-t} over a block are those of any
+    earlier block of its length times a constant, and so are a sine's whose
+    blocks are each minus the one before, zeros included, so such a run
+    takes one product for each block length; a rough factor takes one for
+    each block.
     """
     # the last block that took a product: its samples (at first NaN, which
     # agree with none), the entry of the largest and its forcing
@@ -737,7 +737,7 @@ def _block_forcings(stacks, S, g):
         c = row[peak] / samples[peak]
         if not row.any():
             yield 0.0
-        elif _agree(row, c * samples):
+        elif np.abs(row - c * samples).max() <= 1e-12 * np.abs(row).max():
             yield c * forcing
         else:
             samples, peak, forcing = row, np.abs(row).argmax(), _stack_forcing(*stacks, S, row)
@@ -858,18 +858,20 @@ def _toeplitz_map(col, row, lam_h, inverse=False):
     Levinson recursion cannot break down.  There, from
     _TOEPLITZ_DIM unknowns on, T is never expanded: a product embeds it in a
     circulant, and a solve applies the Gohberg-Semencul formula to the two
-    generators T^{-1} e_1 and T^{-1} e_m (see _generators), every triangular
-    Toeplitz product one FFT against a precomputed spectrum (O(m log m) a
-    step).  Otherwise T is expanded, and LU-factored in place for a solve:
+    generators T^{-1} e_1 and T^{-1} e_m, found once from T's Wiener-Hopf
+    factor and certified (see _generators), every triangular Toeplitz
+    product one FFT against a precomputed spectrum (O(m log m) a step).
+    Otherwise T is expanded, and LU-factored in place for a solve:
     toeplitz(row, col).T is T in Fortran order, which LAPACK factors without
     a second copy.  Measured per stage on 2 cores (build / step), LU against
     generators and FFT: m = 399, 3 ms / 60 us against 1.1 ms / 95 us (with
-    Levinson generators); m = 3199, 410 ms / 6.5 ms against 16-18 ms /
-    0.37-0.41 ms (Levinson: 45-50 ms); the generators and FFT build in
-    9-11 ms at m = 1599.  At m = 1599 and 3199 the generators from GMRES
-    are within 1e-17 to 7e-14 of a dense solve refined in long double, 6 to
-    5e5 times closer than Levinson's, and the FFT solve is off by up to
-    9e-14 relative (with Levinson's generators 7e-11, LU 8e-12).
+    Levinson generators); m = 3199, 410 ms / 6.5 ms against 7-9 ms /
+    0.27-0.38 ms (Levinson: 45-50 ms); the generators and FFT build in
+    3.4-5.7 ms at m = 1599.  On the stages of ex5_1, ex5_2 and ex5_4 at
+    alpha = 1.5, tau = 1/16 and m = 1599 and 3199 the generators are within
+    1.3e-17 to 2.3e-16 of a dense solve refined in long double, 10 to 160
+    times closer than Levinson's, and the FFT solve is off by up to 1.2e-15
+    relative (LU 5.5e-14).
     """
     m = len(col)
     if not _toeplitz_stages(m, lam_h):
@@ -914,119 +916,147 @@ def _circulant_product(col, row, n, dtype=float):
 
 def _generators(col, row, n):
     """x = T^{-1} e_1 and y = T^{-1} e_m for T = toeplitz(col, row), from
-    _krylov_generators where they certify their residual, else by Levinson."""
+    T's Wiener-Hopf factor where T is Hessenberg and the pair certifies its
+    residual, else by Levinson (O(m^2)).
+
+    Every stage matrix that is solved, B - a P, is Hessenberg: P's row is
+    zero past its second entry (see
+    :func:`~tempfrac.operators.P_column_row`) and B is tridiagonal, so a left
+    stage has one superdiagonal and a right stage is its transpose.  A lower
+    Hessenberg T is solved directly, in O(m log m) (_hessenberg_solve); an
+    upper Hessenberg one takes the generators x', y' of the lower
+    T^T = toeplitz(row, col) reversed, each for the other, x = J y' and
+    y = J x', since J T J = T^T for any Toeplitz T (J the reversal).
+
+    The solve is refined against residuals E - T X taken in
+    ``np.longdouble`` by one FFT product each, and that residual is both the
+    stop test and the certificate: the pair is accepted as soon as
+    max |E - T X| <= _GENERATOR_RESIDUAL, within _REFINEMENTS refinements,
+    and otherwise it is the right-hand side of the next refinement, so no
+    residual is formed twice.  At least one refinement runs: an unrefined
+    solve is never accepted, even where its residual would pass.  A residual
+    in double precision could not certify the generators: the rounding of
+    T X alone is about eps |T| |X|.  On the stages of the 1D solvers at
+    m = 1599, 3199 and 102,399 one refinement certifies the pair: two solves
+    and two long-double products.  Levinson is taken where T is not
+    Hessenberg, where _hessenberg_solve has no root to factor by, where
+    ``np.longdouble`` is no wider than double (Windows, macOS on arm64) and
+    where the pair fails to certify.
+    """
     m = len(col)
     E = np.zeros((m, 2))
-    E[0, 0] = E[-1, 1] = 1.0
-    X = _krylov_generators(col, row, n, E)
-    if X is None:
-        X = solve_toeplitz((col, row), E, check_finite=False)
-    return X.T
-
-
-def _krylov_generators(col, row, n, E):
-    """T^{-1} E for the two unit columns E, by GMRES preconditioned with
-    T's Strang circulant and refined against residuals in extended
-    precision; None unless every GMRES call converged within _GMRES_CAP
-    iterations and, within _REFINEMENTS refinements, a refined residual
-    max |E - T X| came to at most _GENERATOR_RESIDUAL.
-
-    A residual in double precision cannot certify the generators: the
-    rounding of T X alone is about eps |T| |X|, and an unrefined solve
-    stopped at a 1e-13 residual left generators 17 to 120 times less
-    accurate than Levinson's at m = 3199.  Each refinement
-    X <- X + GMRES(E - T X) is followed by one FFT product that takes the
-    new residual E - T X in ``np.longdouble``; that residual is both the
-    stop test and the certificate: the pair is accepted as soon as it
-    passes, and otherwise it is the right-hand side of the next refinement,
-    so no residual is formed twice.  At least one refinement runs: an
-    unrefined solve is never accepted, even where its residual would pass.
-    On the stages of the 1D solvers at m = 1599, 3199 and 102,399 one
-    refinement certifies the pair: two GMRES calls and two long-double
-    products.  Where that type is no wider than double (Windows, macOS on
-    arm64) the caller takes Levinson.
-    """
-    eps = np.finfo(float).eps
-    if np.finfo(_EXTENDED).eps >= eps:
-        return None
-    m = len(col)
-    # Strang's circulant C keeps the central diagonals of T, c_k for
-    # k <= m/2 and r_(m-k) above, wrapped around
-    half = m // 2
-    eigenvalues = rfft(np.concatenate((col[:half + 1], row[m - half - 1:0:-1])))
-    size = np.abs(eigenvalues)
-    if not size.min() > eps * size.max():
-        return None  # singular, or too near it to precondition with
-    # a product with C^{-1} is a circular convolution of length m, taken as
-    # a linear one at the fast length n of the product with T and wrapped
-    inverse = rfft(irfft(1.0 / eigenvalues, m), n)
-
-    def precondition(V):
-        W = irfft(inverse[:, None] * rfft(V, n, axis=0), n, axis=0)
-        W[:m - 1] += W[m:2 * m - 1]
-        return W[:m]
-
-    product = _circulant_product(col, row, n)
-    extended = _circulant_product(col, row, n, _EXTENDED)
-    X = _gmres(product, precondition, E)
-    if X is None:
-        return None
-    residual = E - extended(X)
-    for _ in range(_REFINEMENTS):
-        D = _gmres(product, precondition, residual.astype(float))
-        if D is None:
-            return None
-        X = X + D
+    E[0, 0] = E[-1, 1] = 1.0  # E[::-1, ::-1] is E
+    upper = bool(row[2:].any())
+    lower_col, lower_row = (row, col) if upper else (col, row)  # of T^T where T is upper
+    certifiable = not lower_row[2:].any() and np.finfo(_EXTENDED).eps < np.finfo(float).eps
+    solve = _hessenberg_solve(lower_col, lower_row, n) if certifiable else None
+    if solve is not None:
+        extended = _circulant_product(lower_col, lower_row, n, _EXTENDED)
+        X = solve(E)
         residual = E - extended(X)
-        if np.abs(residual).max() <= _GENERATOR_RESIDUAL:
-            return X
-    return None
+        for _ in range(_REFINEMENTS):
+            X = X + solve(residual.astype(float))
+            residual = E - extended(X)
+            if np.abs(residual).max() <= _GENERATOR_RESIDUAL:
+                return (X[::-1, ::-1] if upper else X).T
+    return solve_toeplitz((col, row), E, check_finite=False).T
 
 
-def _gmres(product, precondition, B):
-    """X with product(X) = B by right-preconditioned GMRES, one Krylov space
-    per column of B, all columns sharing each call of ``product`` and
-    ``precondition``; None unless each column's residual falls to _GMRES_TOL
-    of its right-hand side within _GMRES_CAP iterations.
+def _hessenberg_solve(col, row, n):
+    """B -> T^{-1} B, column by column, for a lower Hessenberg
+    T = toeplitz(col, row) (row zero past its second entry), by the
+    Wiener-Hopf factor of T's symbol; None where it has no root to factor by.
 
-    The basis is orthogonalized by classical Gram-Schmidt, applied twice.
-    The least-squares residual after j steps is ||B_c|| / ||z|| for the z
-    with z_0 = 1 and z^T H = 0 (H the (j + 1) x j Hessenberg matrix), built
-    one entry a step; with right preconditioning it is the residual of
-    product(X) = B itself.
+    With t_k = T[i + k, i], c(z) = t_-1 + t_0 z + ... + t_(m-1) z^m is z
+    times T's symbol a.  Where lam*h <= 1 a solved stage is positive real,
+    so a has winding number 0 and c exactly one zero z0 in the unit disk,
+    which is real (Boettcher & Silbermann, Introduction to Large Truncated
+    Toeplitz Matrices, 1999), found by _inner_root.  Then
+    a(z) = (1 - z0 / z) q(z) with q = c / (z - z0), of degree m - 1 and
+    without a zero in the disk, whose coefficients follow from the stable
+    backward recurrence q_(k-1) = c_k + z0 q_k.  The product T(u) T(q) of
+    the upper bidiagonal T(u) (1 on the diagonal, -z0 above it) and the
+    lower triangular T(q) is T but for its last row, which lacks
+    z0 (q_(m-j))_j, so T = T(u) T(q) - z0 e_m w^T with
+    w = (0, q_(m-1), ..., q_1).  A solve is the back substitution with T(u)
+    (the recurrence above), one FFT product with T(q)^{-1}, the lower
+    triangular Toeplitz matrix of r = 1/q mod z^m (_series_inverse), and a
+    Sherman-Morrison correction for the last row.  A root that is not the
+    only one in the disk leaves a q with a zero there: its inverse grows,
+    and the residual refuses the pair.
     """
-    m, k = B.shape
-    beta = np.linalg.norm(B, axis=0)
-    V = np.empty((k, _GMRES_CAP + 1, m))  # the Arnoldi basis of each column
-    V[:, 0] = (B / np.where(beta > 0, beta, 1.0)).T
-    H = np.zeros((k, _GMRES_CAP + 1, _GMRES_CAP))
-    z = np.zeros((k, _GMRES_CAP + 1))
-    z[:, 0] = 1.0
-    steps = np.zeros(k, dtype=int)  # the step at which each column converged
-    for j in range(_GMRES_CAP):
-        w = product(precondition(V[:, j].T)).T.copy()
-        for _ in range(2):
-            h = V[:, :j + 1] @ w[:, :, None]
-            w -= (h.transpose(0, 2, 1) @ V[:, :j + 1])[:, 0]
-            H[:, :j + 1, j] += h[:, :, 0]
-        norm = np.linalg.norm(w, axis=1)
-        H[:, j + 1, j] = norm
-        # an exact solve (norm 0) gives an infinite z: its residual is 0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            z[:, j + 1] = -np.einsum("ci,ci->c", z[:, :j + 1], H[:, :j + 1, j]) / norm
-            converged = np.linalg.norm(z[:, :j + 2], axis=1) * _GMRES_TOL >= 1.0
-        steps[(steps == 0) & (converged | (beta == 0))] = j + 1
-        if steps.all():
-            break
-        V[:, j + 1] = w / np.where(norm > 0, norm, 1.0)[:, None]
-    else:
+    m = len(col)
+    c = np.concatenate((row[1:2], col))
+    z0 = _inner_root(c)
+    if z0 is None:
         return None
-    X = np.empty((m, k))
-    for c, s in enumerate(steps):  # min ||beta_c e_1 - H y|| over y
-        rhs = np.zeros(s + 1)
-        rhs[0] = beta[c]
-        X[:, c] = np.linalg.lstsq(H[c, :s + 1, :s], rhs, rcond=None)[0] @ V[c, :s]
-    return precondition(X)
+    bands = np.array([np.full(m, -z0), np.ones(m)])  # T(u), in solve_banded's layout
+    q = solve_banded((0, 1), bands, c[1:], check_finite=False)
+    spectrum = rfft(_series_inverse(q), n)[:, None]
+
+    def factor_solve(B):  # (T(u) T(q))^{-1} B
+        V = solve_banded((0, 1), bands, B, check_finite=False)
+        return irfft(spectrum * rfft(V, n, axis=0), n, axis=0)[:m]
+
+    w = np.concatenate(([0.0], q[:0:-1]))
+    s = factor_solve(np.eye(m, 1, 1 - m))[:, 0]
+    s *= z0 / (1.0 - z0 * (w @ s))
+
+    def solve(B):
+        Y = factor_solve(B)
+        return Y + np.outer(s, w @ Y)
+
+    return solve
+
+
+def _inner_root(c):
+    """The zero in (-1, 1) of the polynomial c(z) = sum_k c_k z^k, by
+    Newton's method kept inside a bracket and bisecting where a step leaves
+    it; None where c(-1) c(1) is not negative (no sign change, or not
+    finite).  Each evaluation is a product with the powers z^k.
+
+    The steps end with the Newton step from a z where c(z) is zero to the
+    rounding of its evaluation, |c(z)| <= n eps sum_k |c_k z^k| for n
+    coefficients: further steps would only follow that rounding, and can
+    cycle between neighbouring doubles.  At most as many are taken as
+    bisection alone needs to resolve (-1, 1) to the spacing of doubles
+    near 1; a root left unresolved only fails to certify (see _generators).
+    """
+    k = np.arange(len(c))
+    sign = np.sign(c.sum())  # of c(1)
+    if not c @ (-1.0) ** k * sign < 0:
+        return None
+    slope, size = k[1:] * c[1:], len(c) * np.finfo(float).eps * np.abs(c)
+    lo, hi, z = -1.0, 1.0, 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(np.finfo(float).nmant + 1):
+            p = z ** k
+            f = c @ p
+            lo, hi = (lo, z) if f * sign > 0 else (z, hi)
+            new = z - f / (slope @ p[:-1])
+            if not lo <= new <= hi:
+                new = 0.5 * (lo + hi)
+            elif abs(f) <= size @ np.abs(p):
+                return new
+            z = new
+    return z
+
+
+def _series_inverse(q):
+    """r = 1/q mod z^m, m = len(q), by Newton's iteration
+    r <- r + r (1 - q r), each pass doubling the coefficients known: where
+    q r = 1 + z^j e mod z^k for the first j of them, the next k - j are
+    those of -r e.  Each product is one FFT of length at least k, whose
+    wrap-around falls on coefficients not kept."""
+    r = np.array([1.0 / q[0]])
+    while len(r) < len(q):
+        j = len(r)
+        k = min(2 * j, len(q))
+        L = next_fast_len(k, real=True)
+        R = rfft(r, L)
+        e = irfft(rfft(q[:k], L) * R, L)[j:k]
+        r = np.concatenate((r, -irfft(R * rfft(e, L), L)[:k - j]))
+    return r
 
 
 # ------------------------------------------------------------ the schemes

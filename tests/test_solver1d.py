@@ -1401,8 +1401,9 @@ class TestToeplitzStages:
             if not inverse:
                 continue
             m = len(col)
-            X = solver1d._krylov_generators(col, row, fft_length(m), unit_columns(m))
-            if X is None:
+            with mock.patch.object(solver1d, "solve_toeplitz", wraps=solve_toeplitz) as fallback:
+                X = solver1d._generators(col, row, fft_length(m)).T
+            if fallback.call_count:  # not accepted: these are Levinson's
                 continue
             ref = refined_generators(col, row)
             levinson = solve_toeplitz((col, row), unit_columns(m))
@@ -1410,18 +1411,47 @@ class TestToeplitzStages:
             assert (generator_error(X, ref)
                     <= np.maximum(generator_error(levinson, ref), np.finfo(float).eps)).all()
 
-    @pytest.mark.parametrize("m", [600, 601])
-    def test_preconditioner_is_strangs_circulant(self, m):
-        # T circulant is its own Strang circulant: one iteration per GMRES
-        # call solves it exactly, so a mis-indexed column falls back
-        s = np.zeros(m)
-        s[[0, 1, 2, -2, -1]] = 6.0, -1.0, 0.5, 0.25, -2.0
-        col, row = s, np.r_[s[0], s[:0:-1]]
-        with mock.patch.object(solver1d, "_GMRES_CAP", 1), \
-                mock.patch.object(solver1d, "solve_toeplitz", side_effect=AssertionError):
-            x, y = solver1d._generators(col, row, fft_length(m))
-        ref = refined_generators(col, row)
-        assert generator_error(np.column_stack((x, y)), ref).max() <= 2 * np.finfo(float).eps
+    @settings(max_examples=30, deadline=None)
+    @given(
+        alpha=st.floats(1.01, 1.99),
+        lam_h=st.floats(0.0, 1.0),
+        tau=st.floats(1e-6, 1e3),
+        theta=st.sampled_from([1.0, 0.5]),
+        M=st.integers(601, 4000),
+    )
+    def test_every_wide_stage_certifies_and_an_upper_one_is_its_transpose_reversed(
+            self, alpha, lam_h, tau, theta, M):
+        # the solved stages B - theta tau P: a left one, lower Hessenberg,
+        # and a right one, upper Hessenberg and the left one's transpose
+        lower, _, upper = stage_matrices(alpha, lam_h, M, theta * tau)
+        n = fft_length(M - 1)
+        with mock.patch.object(solver1d, "solve_toeplitz",
+                               side_effect=AssertionError("Levinson was called")):
+            xt, yt = solver1d._generators(*lower[:2], n)
+            x, y = solver1d._generators(*upper[:2], n)
+        for got, want in ((x, yt[::-1]), (y, xt[::-1])):
+            assert np.abs(got - want).max() <= np.spacing(np.abs(want).max())
+
+    @pytest.mark.parametrize("alpha,lam_h,M", [(1.5, 1 / 1600, 1600), (1.5, 1 / 3200, 3200),
+                                               (1.5, 0.1 / 3200, 3200)])
+    def test_inner_root_stops_at_the_rounding_of_c(self, alpha, lam_h, M):
+        # the left stages of ex5_1 and ex5_4 at tau = 1/16; without the stop
+        # at the rounding of c, Newton's steps on the last one cycle until
+        # the bound of 53
+        evaluations = []
+
+        class Recorded(np.ndarray):
+            def __matmul__(self, other):
+                evaluations.append(self)
+                return np.asarray(self) @ other
+
+        col, row, _ = stage_matrices(alpha, lam_h, M, 1.0 / 16)[0]
+        c = np.concatenate((row[1:2], col)).view(Recorded)
+        z = solver1d._inner_root(c)
+        # one evaluation of c(-1) and one a step
+        assert sum(e is c for e in evaluations) <= 16
+        powers = z ** np.arange(M)
+        assert abs(np.asarray(c) @ powers) <= M * np.finfo(float).eps * (np.abs(c) @ powers)
 
     def test_wide_grids_never_call_levinson(self):
         for M in (1600, 3200):
@@ -1436,30 +1466,33 @@ class TestToeplitzStages:
         (case_ex5_2(1.5, 1.0, j=5), "right"),
         (case_ex5_4(1.5, 0.1), "two_sided"),
     ])
-    def test_certified_pair_takes_two_gmres_calls_and_two_long_double_products(self, case, side):
+    def test_certified_pair_takes_one_refinement_and_two_long_double_products(self, case, side):
         # the residual after the one refinement certifies the pair: no third
         # solve, and no residual formed twice
-        circulant_product, extended = solver1d._circulant_product, []
+        circulant_product, hessenberg_solve, extended, solves = (
+            solver1d._circulant_product, solver1d._hessenberg_solve, [], [])
 
         def product(col, row, n, dtype=float):
             apply = circulant_product(col, row, n, dtype)
             return recording(apply, extended) if dtype is solver1d._EXTENDED else apply
 
         with mock.patch.object(solver1d, "solve_toeplitz", side_effect=AssertionError), \
-                mock.patch.object(solver1d, "_gmres", wraps=solver1d._gmres) as gmres, \
+                mock.patch.object(solver1d, "_hessenberg_solve",
+                                  lambda *args: recording(hessenberg_solve(*args), solves)), \
                 mock.patch.object(solver1d, "_circulant_product", product):
             SOLVERS[side](case.build_spec(1.0 / 1600)(16))
-        assert gmres.call_count == 2
+        assert len(solves) == 2
         assert len(extended) == 2
 
     def test_a_passing_unrefined_solve_is_still_refined_once(self):
-        # here the unrefined GMRES solve already meets the bound
+        # here the unrefined direct solve already meets the bound
         col, row, _ = stage_matrices(1.5, 100.0 / 6400, 6400, 1e-5)[0]
         m, n = len(col), fft_length(len(col))
         E = unit_columns(m)
-        solves = []
-        with mock.patch.object(solver1d, "_gmres", recording(solver1d._gmres, solves)):
-            X = solver1d._krylov_generators(col, row, n, E)
+        hessenberg_solve, solves = solver1d._hessenberg_solve, []
+        with mock.patch.object(solver1d, "_hessenberg_solve",
+                               lambda *args: recording(hessenberg_solve(*args), solves)):
+            X = solver1d._generators(col, row, n).T
         extended = solver1d._circulant_product(col, row, n, solver1d._EXTENDED)
         assert np.abs(E - extended(solves[0])).max() <= solver1d._GENERATOR_RESIDUAL
         assert len(solves) == 2
@@ -1475,34 +1508,46 @@ class TestToeplitzStages:
         assert error.max() <= 4 * np.finfo(float).eps
         assert (error * 10 <= levinson).all()
 
-    @pytest.mark.parametrize("name,value", [
-        pytest.param("_GMRES_TOL", 0.0, id="gmres-stall"),  # every call runs to the cap
-        pytest.param("_REFINEMENTS", 0, id="unrefined"),  # the residual misses the bound
-        pytest.param("_EXTENDED", np.float64, id="no-long-double"),
-        pytest.param(None, None, id="singular-preconditioner"),
+    @pytest.mark.parametrize("name,value,change,factored", [
+        # c(z) = -(1 - z)^2 / 2 has its double zero on the circle
+        pytest.param(None, None, "tridiagonal", 1, id="no-inner-root"),
+        pytest.param(None, None, "symmetric", 0, id="not-hessenberg"),
+        pytest.param(None, None, "nan", 1, id="nan-entry"),  # ends, and takes Levinson's NaNs
+        pytest.param("_REFINEMENTS", 0, None, 1, id="unrefined"),  # the solve is never refined
+        pytest.param("_EXTENDED", np.float64, None, 0, id="no-long-double"),
     ])
-    def test_fallbacks_return_levinsons_generators(self, name, value):
+    def test_fallbacks_return_levinsons_generators(self, name, value, change, factored):
+        # ``factored``: whether the Wiener-Hopf factor is tried at all
         m = 999
-        if name is None:  # Strang's circulant of tridiag(-1/2, 1, -1/2) is singular
+        col, row, _ = stage_matrices(1.99, 0.0, m + 1, 1e3)[0]
+        if change == "tridiagonal":
             col = row = np.r_[1.0, -0.5, np.zeros(m - 2)]
-        else:
-            col, row, _ = stage_matrices(1.99, 0.0, m + 1, 1e3)[0]
+        elif change == "symmetric":  # twice T's symmetric part, positive definite
+            col = row = col + row
+        elif change == "nan":
+            col = np.r_[col[:5], np.nan, col[6:]]
         patches = contextlib.ExitStack()
         if name is not None:
             patches.enter_context(mock.patch.object(solver1d, name, value))
-        with patches, mock.patch.object(solver1d, "solve_toeplitz", wraps=solve_toeplitz) as levinson:
+        with patches, mock.patch.object(solver1d, "solve_toeplitz", wraps=solve_toeplitz) as levinson, \
+                mock.patch.object(solver1d, "_hessenberg_solve",
+                                  wraps=solver1d._hessenberg_solve) as hessenberg:
             x, y = solver1d._generators(col, row, fft_length(m))
         assert levinson.call_count == 1
+        assert hessenberg.call_count == factored
         want = solve_toeplitz((col, row), unit_columns(m), check_finite=False)
-        assert np.array_equal(np.column_stack((x, y)), want)
+        assert np.array_equal(np.column_stack((x, y)), want, equal_nan=True)
 
     def test_import_leaves_scipy_sparse_unloaded(self):
+        # nor scipy.signal, whose import after tempfrac's takes 0.8-1.1 s and
+        # 42 MB of resident memory (2 cores)
         src = str(pathlib.Path(solver1d.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        probe = "import sys, tempfrac; print('scipy.sparse' in sys.modules)"
+        probe = ("import sys, tempfrac; "
+                 "print('scipy.sparse' in sys.modules, 'scipy.signal' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": path}, check=True)
-        assert out.stdout.split() == ["False"]
+        assert out.stdout.split() == ["False", "False"]
 
 
 class TestThetaStage:
